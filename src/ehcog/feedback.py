@@ -183,6 +183,20 @@ def secondary_service_rate(
     return lam_e * (stats.pi0 * idle + stats.sum_pi * busy + stats.sum_eps * retx)
 
 
+def degenerate_delay(alpha, gamma, lam_p: float):
+    """Mean primary delay at eta ~ 1, where the closed form of primary_delay
+    is 0/0.  eta ~ 1 forces alpha ~ 1 and gamma ~ 1, so almost every packet
+    departs in one slot.  alpha and gamma may be arrays of one shape."""
+    if lam_p == 0.0:
+        return 1.0 + (1.0 - alpha) / gamma
+
+    def series(a, g):
+        pi, eps = state_probs(a, g, lam_p, 64)
+        return np.sum(np.arange(len(pi)) * (pi + eps)) / lam_p
+
+    return np.vectorize(series, otypes=[float])(alpha, gamma)
+
+
 def primary_delay(alpha: float, gamma: float, lam_p: float) -> float:
     """Mean primary queueing delay in slots under the two-phase chain."""
     _check_chain_inputs(alpha, gamma, lam_p)
@@ -190,13 +204,7 @@ def primary_delay(alpha: float, gamma: float, lam_p: float) -> float:
     if lam_p >= eta:
         raise Unstable(f"lam_p={lam_p} >= eta={eta}")
     if eta >= 1.0 - 1e-9:
-        # eta ~ 1 forces alpha ~ 1 and gamma ~ 1: the closed form degenerates
-        # to 0/0, but physically almost every packet departs in one slot.
-        if lam_p == 0.0:
-            return 1.0 + (1.0 - alpha) / gamma
-        pi, eps = state_probs(alpha, gamma, lam_p, 64)
-        ks = np.arange(len(pi))
-        return float(np.sum(ks * (pi + eps)) / lam_p)
+        return float(degenerate_delay(alpha, gamma, lam_p))
     num = (alpha - eta) * (eta - lam_p) ** 2 + (1.0 - lam_p) ** 2 * (1.0 - alpha) * eta
     den = (eta - lam_p) * (1.0 - lam_p) * (1.0 - eta) * gamma
     return float(num / den)

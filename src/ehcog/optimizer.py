@@ -15,6 +15,16 @@ grid, so the result can never fall below that grid.  grid_oracle() is the
 brute-force reference used by the acceptance tests.  Both are deterministic
 for a fixed config.  The objective is smooth but nonconvex, hence the
 derivative-free search; dimension is at most 5.
+
+The pattern search moves all starts in lockstep: each sweep scores the
+moved probes of every still-active start in one closed-form batch, then
+applies the accept / shrink / retire rules to each start on its own.  The
+batch changes nothing numerically: _evaluate and _merit use only
+elementwise IEEE operations (+, -, *, /, clip, where) and no reduction
+mixes points, so a point scores the same bits in any batch, and a row-wise
+argmax over scores with unmoved probes masked to -inf picks the same first
+index as an argmax over the moved probes alone.  Each start therefore
+follows exactly the path it would follow searched by itself.
 """
 from __future__ import annotations
 
@@ -23,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import feedback, nofeedback
 from .params import (
@@ -157,11 +166,11 @@ def _evaluate(problem: OptProblem, X: np.ndarray, eps_stab: float, eps_feas: flo
             ) ** 2 * (1.0 - alpha) * mu_eff
             den = (mu_eff - lam_p) * (1.0 - lam_p) * (1.0 - mu_eff) * gamma
             delay = num / den
-            # eta ~ 1 makes the closed form 0/0; it needs alpha ~ gamma ~ 1,
-            # where nearly every packet leaves in one slot
-            degen = mu_eff >= 1.0 - 1e-9
+            # eta ~ 1 makes the closed form 0/0; the rare stable points there
+            # take the scalar definition, so solve() and analyze() agree
+            degen = (mu_eff >= 1.0 - 1e-9) & (lam_p < mu_eff)
             if np.any(degen):
-                delay = np.where(degen, 1.0, delay)
+                delay[degen] = feedback.degenerate_delay(alpha[degen], gamma[degen], lam_p)
         else:
             mu_eff = nofeedback.primary_service_rate(profile, pol, sensing, lam_e)
             occ = lam_p / mu_eff
@@ -313,28 +322,68 @@ def _directions(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _pattern_search(problem, x0, cfg: SolverConfig):
+def _pattern_search(problem, X0, cfg: SolverConfig):
     """Generating-set pattern search with box projection, maximising the
-    merit.  Returns (x, merit, n_evals).  Deterministic."""
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    m = float(_merit(problem, x[None, :], cfg.eps_stab, cfg.eps_feas)[0])
-    n_evals = 1
-    dirs = _directions(x.size)
-    h = cfg.init_step
+    merit from every row of X0 in lockstep.
+
+    Each iteration is one sweep of every still-active start: its probes
+    clip(x + h * dirs) that actually move are scored in one shared _merit
+    batch, the best probe (first index among equals) is taken if it beats
+    the start's merit by more than 1e-15, otherwise the start's step shrinks
+    and the start retires once the step drops below min_step.  Returns the
+    per-start arrays (X, merit, n_evals).  Deterministic.
+    """
+    X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0)
+    M = _merit(problem, X, cfg.eps_stab, cfg.eps_feas)
+    n_evals = np.ones(X.shape[0], dtype=np.int64)
+    dirs = _directions(X.shape[1])
+    h = np.full(X.shape[0], cfg.init_step)
+    active = np.arange(X.shape[0])
     for _ in range(cfg.max_sweeps):
-        P = np.clip(x + h * dirs, 0.0, 1.0)
-        keep = np.any(P != x, axis=1)
-        P = P[keep]
-        scores = _merit(problem, P, cfg.eps_stab, cfg.eps_feas)
-        n_evals += P.shape[0]
-        i = int(np.argmax(scores))
-        if scores[i] > m + 1e-15:
-            x, m = P[i], float(scores[i])
-        else:
-            h *= cfg.shrink
-            if h < cfg.min_step:
-                break
-    return x, m, n_evals
+        x = X[active][:, None, :]
+        P = np.clip(x + h[active, None, None] * dirs, 0.0, 1.0)
+        keep = np.any(P != x, axis=2)
+        scores = np.full(keep.shape, -math.inf)
+        scores[keep] = _merit(problem, P[keep], cfg.eps_stab, cfg.eps_feas)
+        n_evals[active] += keep.sum(axis=1)
+        rows = np.arange(active.size)
+        best = np.argmax(scores, axis=1)
+        top = scores[rows, best]
+        up = top > M[active] + 1e-15
+        X[active[up]] = P[rows[up], best[up]]
+        M[active[up]] = top[up]
+        h[active[~up]] *= cfg.shrink
+        active = active[h[active] >= cfg.min_step]
+        if not active.size:
+            break
+    return X, M, n_evals
+
+
+def _start_points(problem: OptProblem, cfg: SolverConfig):
+    """The (n_starts + 3, d) start matrix of solve() and the evaluations its
+    audit grid spent."""
+    from scipy.stats import qmc  # deferred: the only scipy use, and slow to import
+
+    d = _dim(problem.scheme)
+    audit_x, _, audit_evals = _scan_grid(
+        problem, cfg.audit_step, cfg.eps_stab, cfg.eps_feas, cfg.tie_tol, False
+    )
+    sobol = qmc.Sobol(d, scramble=True, seed=cfg.seed)
+    starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol.random(cfg.n_starts)])
+    return starts, audit_evals
+
+
+def _pick(problem: OptProblem, cfg: SolverConfig, X, M, n_evals: int) -> OptResult:
+    """Best start by merit, ties within tie_tol broken lexicographically."""
+    best_m = max(M)
+    best_i = -1
+    best_x = None
+    for i, (m, x) in enumerate(zip(M, X)):
+        if m >= best_m - cfg.tie_tol:
+            if best_x is None or tuple(x) < tuple(best_x):
+                best_i, best_x = i, x
+    meta = SolverMeta(n_starts=len(X), n_evals=n_evals, best_start=best_i)
+    return _finish(problem, best_x, bool(best_m >= 0.0), meta)
 
 
 def solve(problem: OptProblem, config: SolverConfig | None = None) -> OptResult:
@@ -345,27 +394,13 @@ def solve(problem: OptProblem, config: SolverConfig | None = None) -> OptResult:
     Sobol points.  Because the silent policy maximises the primary service
     rate and minimises its delay, the problem is feasible iff the silent
     start lands in the feasible tier, so infeasibility detection is exact.
+
+    All starts are searched in lockstep, one closed-form batch per sweep.
+    The closed forms are elementwise, so every point scores exactly as it
+    would in a batch of its own, and each start follows the same path as a
+    search run from it alone.
     """
     cfg = config or SolverConfig()
-    d = _dim(problem.scheme)
-    audit_x, _, audit_evals = _scan_grid(
-        problem, cfg.audit_step, cfg.eps_stab, cfg.eps_feas, cfg.tie_tol, False
-    )
-    sobol = qmc.Sobol(d, scramble=True, seed=cfg.seed)
-    starts = [audit_x, np.zeros(d), np.ones(d)]
-    starts.extend(sobol.random(cfg.n_starts))
-    candidates = []
-    n_evals = audit_evals
-    for x0 in starts:
-        x, m, used = _pattern_search(problem, x0, cfg)
-        candidates.append((m, x))
-        n_evals += used
-    best_m = max(m for m, _ in candidates)
-    best_i = -1
-    best_x = None
-    for i, (m, x) in enumerate(candidates):
-        if m >= best_m - cfg.tie_tol:
-            if best_x is None or tuple(x) < tuple(best_x):
-                best_i, best_x = i, x
-    meta = SolverMeta(n_starts=len(starts), n_evals=n_evals, best_start=best_i)
-    return _finish(problem, best_x, best_m >= 0.0, meta)
+    starts, audit_evals = _start_points(problem, cfg)
+    X, M, used = _pattern_search(problem, starts, cfg)
+    return _pick(problem, cfg, X, M, audit_evals + int(used.sum()))

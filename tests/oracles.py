@@ -147,3 +147,41 @@ def series_delay(level_masses: np.ndarray, lam: float) -> float:
     """Mean delay via Little's law from per-level stationary masses."""
     k = np.arange(len(level_masses))
     return float(np.sum(k * level_masses) / lam)
+
+
+def pattern_search_one(problem, x0, cfg):
+    """Pattern search from a single start, one sweep loop per start: the
+    reference for the lockstep search in ehcog.optimizer.  Returns
+    (x, merit, n_evals)."""
+    from ehcog.optimizer import _directions, _merit
+
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    m = float(_merit(problem, x[None, :], cfg.eps_stab, cfg.eps_feas)[0])
+    n_evals = 1
+    dirs = _directions(x.size)
+    h = cfg.init_step
+    for _ in range(cfg.max_sweeps):
+        P = np.clip(x + h * dirs, 0.0, 1.0)
+        keep = np.any(P != x, axis=1)
+        P = P[keep]
+        scores = _merit(problem, P, cfg.eps_stab, cfg.eps_feas)
+        n_evals += P.shape[0]
+        i = int(np.argmax(scores))
+        if scores[i] > m + 1e-15:
+            x, m = P[i], float(scores[i])
+        else:
+            h *= cfg.shrink
+            if h < cfg.min_step:
+                break
+    return x, m, n_evals
+
+
+def solve_per_start(problem, cfg):
+    """solve() with every start searched on its own by pattern_search_one."""
+    from ehcog.optimizer import _pick, _start_points
+
+    starts, audit_evals = _start_points(problem, cfg)
+    runs = [pattern_search_one(problem, x0, cfg) for x0 in starts]
+    X = np.array([x for x, _, _ in runs])
+    M = [m for _, m, _ in runs]
+    return _pick(problem, cfg, X, M, audit_evals + sum(n for _, _, n in runs))

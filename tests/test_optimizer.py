@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehcog import (
     OptProblem,
     OptResult,
+    OutageProfile,
     PolicyFb,
     PolicyNoFb,
     Scheme,
@@ -17,7 +19,14 @@ from ehcog import (
 )
 from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
-from ehcog.optimizer import VAR_NAMES, _vector_from_policy
+from ehcog.optimizer import (
+    VAR_NAMES,
+    _directions,
+    _pattern_search,
+    _start_points,
+    _vector_from_policy,
+)
+from oracles import pattern_search_one, solve_per_start
 
 
 def make_problem(preset_profile, preset_sensing, scheme, lam_p, bound, lam_e=0.8):
@@ -222,3 +231,83 @@ def test_grid_tie_break_is_lexicographic(preset_profile, preset_sensing):
 def test_result_type(preset_profile, preset_sensing):
     prob = make_problem(preset_profile, preset_sensing, Scheme.RANDOM_ACCESS, 0.1, 5.0)
     assert isinstance(solve(prob, FAST), OptResult)
+
+
+def test_solve_and_analyze_agree_at_eta_one():
+    # lam_p = 0 on a perfect primary link puts eta = gamma = 1 near the
+    # silent policy, where the retransmission-aware delay formula is 0/0
+    profile = OutageProfile(1.0, 0.2, 0.6, 0.5, 0.3, 0.2)
+    sensing = SensingQuality(0.1, 0.08)
+    traffic = TrafficParams(0.0, 1.0, 0.8, 1.0)
+    prob = OptProblem(Scheme.FEEDBACK, profile, sensing, traffic)
+    # without delay slack both layers apply the same test
+    strict = (
+        solve(prob, SolverConfig(n_starts=32, eps_feas=0.0)),
+        grid_oracle(prob, step=0.1, eps_feas=0.0),
+    )
+    for res in strict:
+        rep = fb.analyze(profile, res.policy, sensing, traffic)
+        assert res.feasible == rep.delay_feasible
+    # with the default 1e-9 slack a feasible result stays inside it
+    for res in (solve(prob, FAST), grid_oracle(prob, step=0.1)):
+        rep = fb.analyze(profile, res.policy, sensing, traffic)
+        assert res.feasible and rep.primary_stable
+        assert rep.delay <= traffic.delay_bound + 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+@pytest.mark.parametrize(
+    "cfg", [SolverConfig(), SolverConfig(max_sweeps=3)], ids=["full", "capped"]
+)
+@pytest.mark.parametrize("lam_p", [0.0, 0.126, 0.3, 0.65])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_lockstep_solve_matches_per_start_oracle(
+    scheme, lam_p, cfg, preset_profile, preset_sensing
+):
+    prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
+    assert solve(prob, cfg) == solve_per_start(prob, cfg)
+
+
+def test_lockstep_search_tracks_every_start(preset_profile, preset_sensing):
+    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
+    capped = SolverConfig(n_starts=32, max_sweeps=3)
+    starts, _ = _start_points(prob, FAST)
+    runs = {}
+    for cfg in (FAST, capped):
+        X, M, used = _pattern_search(prob, starts, cfg)
+        for x0, x, m, n in zip(starts, X, M, used):
+            ref_x, ref_m, ref_n = pattern_search_one(prob, x0, cfg)
+            assert x.tolist() == ref_x.tolist()
+            assert m == ref_m and n == ref_n
+        runs[cfg.max_sweeps] = used
+    # three sweeps stop every start before its step schedule runs out
+    assert np.all(runs[3] <= 1 + 3 * len(_directions(5)))
+    assert np.all(runs[3] < runs[FAST.max_sweeps])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.floats(0.05, 1.0),
+    fractions=st.tuples(*[st.floats(0.0, 1.0)] * 5),
+    sensing=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    lam_p=st.floats(0.0, 0.9),
+    lam_e=st.floats(0.0, 1.0),
+    bound=st.sampled_from([1.0, 1.5, 2.0, 5.0, math.inf]),
+    scheme=st.sampled_from(list(Scheme)),
+)
+def test_lockstep_solve_matches_oracle_on_random_problems(
+    p, fractions, sensing, lam_p, lam_e, bound, scheme
+):
+    conc, full, short, full_conc, short_conc = fractions
+    profile = OutageProfile(
+        p_primary=p,
+        p_primary_conc=p * conc,
+        p_sec_full=full,
+        p_sec_short=full * short,
+        p_sec_full_conc=full * full_conc,
+        p_sec_short_conc=full * min(short, full_conc) * short_conc,
+    )
+    prob = OptProblem(
+        scheme, profile, SensingQuality(*sensing), TrafficParams(lam_p, 1.0, lam_e, bound)
+    )
+    assert solve(prob, FAST) == solve_per_start(prob, FAST)
