@@ -228,18 +228,21 @@ def _grid_chunks(vals: np.ndarray, d: int, max_chunk: int = 1 << 21):
             yield X
 
 
-def _scan_grid(problem, step, eps_stab, eps_feas, tie_tol, feasible_only):
+def _scan_grid(problem, step, eps_stab, eps_feas, tie_tol, feasible_only, max_chunk=1 << 21):
     """Two-pass exhaustive grid scan in lexicographic order.
 
     Pass 1 finds the best score (mu_s over feasible points if feasible_only,
     else the merit); pass 2 returns the first point scoring within tie_tol
-    of it.  Returns (x or None, best_score, n_evals).
+    of it.  Returns (x or None, best_score, n_evals).  The chunk size only
+    bounds the memory of one closed-form batch: the scores are elementwise
+    and the chunks come in lexicographic order, so the result is the same
+    for every max_chunk.
     """
     d = _dim(problem.scheme)
     vals = _grid_values(step)
     best = -math.inf
     n_evals = 0
-    for X in _grid_chunks(vals, d):
+    for X in _grid_chunks(vals, d, max_chunk):
         n_evals += X.shape[0]
         if feasible_only:
             mu_s, _, _, _, feas = _evaluate(problem, X, eps_stab, eps_feas)
@@ -249,7 +252,7 @@ def _scan_grid(problem, step, eps_stab, eps_feas, tie_tol, feasible_only):
             best = max(best, float(np.max(_merit(problem, X, eps_stab, eps_feas))))
     if not math.isfinite(best):
         return None, best, n_evals
-    for X in _grid_chunks(vals, d):
+    for X in _grid_chunks(vals, d, max_chunk):
         if feasible_only:
             mu_s, _, _, _, feas = _evaluate(problem, X, eps_stab, eps_feas)
             score = np.where(feas, mu_s, -math.inf)
@@ -359,6 +362,14 @@ def _pattern_search(problem, X0, cfg: SolverConfig):
     return X, M, n_evals
 
 
+#: points per closed-form batch of solve()'s audit grid.  The sweep runs
+#: solves on a thread pool; whole-grid batches (161k points and ~29 MB of
+#: temporaries at d = 5) made the process's peak memory depend on whether
+#: two audits happened to overlap.  At 11^4 points an audit peaks near 3 MB
+#: and runs faster; its second pass also stops at the chunk of the winner.
+AUDIT_CHUNK = 1 << 14
+
+
 def _start_points(problem: OptProblem, cfg: SolverConfig):
     """The (n_starts + 3, d) start matrix of solve() and the evaluations its
     audit grid spent."""
@@ -366,7 +377,7 @@ def _start_points(problem: OptProblem, cfg: SolverConfig):
 
     d = _dim(problem.scheme)
     audit_x, _, audit_evals = _scan_grid(
-        problem, cfg.audit_step, cfg.eps_stab, cfg.eps_feas, cfg.tie_tol, False
+        problem, cfg.audit_step, cfg.eps_stab, cfg.eps_feas, cfg.tie_tol, False, AUDIT_CHUNK
     )
     sobol = qmc.Sobol(d, scramble=True, seed=cfg.seed)
     starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol.random(cfg.n_starts)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from ehcog import (
 from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
 from ehcog.optimizer import (
+    AUDIT_CHUNK,
     VAR_NAMES,
     _directions,
     _pattern_search,
+    _scan_grid,
     _start_points,
     _vector_from_policy,
 )
@@ -311,3 +314,33 @@ def test_lockstep_solve_matches_oracle_on_random_problems(
         scheme, profile, SensingQuality(*sensing), TrafficParams(lam_p, 1.0, lam_e, bound)
     )
     assert solve(prob, FAST) == solve_per_start(prob, FAST)
+
+
+@pytest.mark.parametrize("feasible_only", [False, True])
+@pytest.mark.parametrize("lam_p", [0.0, 0.126, 0.65])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_chunked_grid_scan_matches_whole_grid(
+    scheme, lam_p, feasible_only, preset_profile, preset_sensing
+):
+    prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
+    whole = _scan_grid(prob, 0.1, 1e-9, 1e-9, 1e-12, feasible_only)
+    for max_chunk in (AUDIT_CHUNK, 1000):
+        x, best, n = _scan_grid(prob, 0.1, 1e-9, 1e-9, 1e-12, feasible_only, max_chunk)
+        assert (best, n) == whole[1:]
+        assert (x is None) == (whole[0] is None)
+        if x is not None:
+            assert x.tolist() == whole[0].tolist()
+
+
+def test_audit_grid_memory_is_bounded(preset_profile, preset_sensing):
+    # solves run on the sweep's thread pool, so each audit's temporaries
+    # add up whenever two audits overlap; the whole 11^5 grid took ~29 MB
+    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
+    _start_points(prob, FAST)
+    tracemalloc.start()
+    try:
+        _start_points(prob, FAST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
