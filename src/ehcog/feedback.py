@@ -11,13 +11,18 @@ retransmission (success prob gamma per slot).  Fresh slots see the
 sensing-policy interference pattern; retransmission slots see interference
 with probability lam_e * p_access_retx.  pi_k below is the stationary
 probability of queue length k with a fresh head, eps_k the same with a
-retransmission head; eta = lam_p * alpha + (1 - lam_p) * gamma is the
-aggregate service rate that governs stability.
+retransmission head.  eta, the mean of alpha and gamma weighted by lam_p and
+1 - lam_p, is the aggregate service rate that governs stability.
+
+closed_forms() is the one place the queue-level formulas are written;
+everything else here, analyze, the optimizer and the simulator checks read
+them from it, through operating_point() when they start from a policy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .params import (
     TrafficParams,
     Unstable,
 )
-from .nofeedback import AnalysisReport, TAIL_TOL
+from .nofeedback import DELAY_SLACK, STABILITY_MARGIN, TAIL_TOL, AnalysisReport
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class FeedbackChainStats:
 
     alpha    per-slot success probability of a fresh transmission
     gamma    per-slot success probability of a retransmission
-    eta      lam_p * alpha + (1 - lam_p) * gamma, the stability threshold
+    eta      the aggregate service rate, the stability threshold
     pi0      probability the primary queue is empty
     sum_pi   probability of a busy slot with a fresh head packet
     sum_eps  probability of a busy slot with a retransmitted head packet
@@ -82,50 +87,119 @@ def success_probs(
     return alpha, gamma
 
 
-def _check_chain_inputs(alpha, gamma, lam_p) -> None:
-    for name, v in (("alpha", alpha), ("gamma", gamma), ("lam_p", lam_p)):
-        if np.any(np.asarray(v) < -PROB_TOL) or np.any(np.asarray(v) > 1.0 + PROB_TOL):
-            raise ValueError(f"{name}={v!r} outside [0, 1]")
+def _brackets(profile: OutageProfile, policy: PolicyFb, sensing: SensingQuality):
+    """(idle, busy, retx): secondary success probability per energy-endowed
+    slot in which the primary queue is empty, sends a fresh packet, or
+    retransmits.  Empty and fresh-head slots reuse the sensing-only
+    brackets; in a retransmission slot the secondary transmits blindly over
+    the full slot against a busy channel."""
+    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
+    return idle, busy, policy.p_access_retx * profile.p_sec_full_conc
 
 
-def chain_stats(alpha: float, gamma: float, lam_p: float) -> FeedbackChainStats:
-    """Stationary aggregates of the two-phase chain.  Raises Unstable when
-    lam_p >= eta."""
-    _check_chain_inputs(alpha, gamma, lam_p)
-    eta = lam_p * alpha + (1.0 - lam_p) * gamma
-    if lam_p >= eta:
-        raise Unstable(f"lam_p={lam_p} >= eta={eta}")
-    pi0 = (eta - lam_p) / gamma
-    # The fresh-head busy mass telescopes to lam_p exactly (each departure of
-    # a fresh head is preceded by exactly one arrival in the long run).
-    sum_pi = lam_p
-    sum_eps = lam_p * (1.0 - alpha) / gamma
-    return FeedbackChainStats(
-        alpha=float(alpha),
-        gamma=float(gamma),
-        eta=float(eta),
-        pi0=float(pi0),
-        sum_pi=float(sum_pi),
-        sum_eps=float(sum_eps),
+class OperatingPoint(NamedTuple):
+    """Closed forms of the retransmission-aware scheme at one operating
+    point, or at a batch of them when the inputs are arrays.
+
+    alpha, gamma           building blocks from success_probs
+    busy, retx             building blocks from _brackets
+    eta                    aggregate service rate, the stability threshold
+    pi0, sum_eps           probability of an empty queue and of a busy slot
+                           with a retransmitted head (the fresh-head busy
+                           mass is lam_p)
+    mu_s                   saturated secondary throughput in packets/slot
+    delay                  mean primary queueing delay in slots
+    stable                 lam_p <= eta - STABILITY_MARGIN
+    feasible               stable and delay <= delay_bound + DELAY_SLACK
+
+    pi0, sum_eps, mu_s and delay mean something only where lam_p < eta.
+    """
+
+    alpha: np.ndarray
+    gamma: np.ndarray
+    busy: np.ndarray
+    retx: np.ndarray
+    eta: np.ndarray
+    pi0: np.ndarray
+    sum_eps: np.ndarray
+    mu_s: np.ndarray
+    delay: np.ndarray
+    stable: np.ndarray
+    feasible: np.ndarray
+
+    @property
+    def mu_eff(self):
+        """The service rate lam_p must stay below."""
+        return self.eta
+
+
+def closed_forms(
+    lam_p: float,
+    alpha,
+    gamma,
+    idle=0.0,
+    busy=0.0,
+    retx=0.0,
+    lam_e: float = 0.0,
+    delay_bound: float = math.inf,
+) -> OperatingPoint:
+    """The queue-level closed forms of the retransmission-aware scheme.  This
+    is the only place they are written.
+
+    lam_p is a scalar; the other inputs may be arrays of one shape.  Only
+    elementwise IEEE operations, so each entry of a batch has the same bits
+    as its point evaluated alone.  Scalar inputs give numpy scalars.  Where
+    lam_p >= eta the divisions give inf or nan instead of raising.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        eta = lam_p * alpha + (1.0 - lam_p) * gamma
+        gap = eta - lam_p
+        pi0 = gap / gamma
+        sum_eps = lam_p * (1.0 - alpha) / gamma
+        # The fresh-head busy mass telescopes to lam_p exactly (each departure
+        # of a fresh head is preceded by exactly one arrival in the long run).
+        mu_s = lam_e * (pi0 * idle + lam_p * busy + sum_eps * retx)
+        # gap * gap, not gap ** 2: numpy squares an array by multiplying but
+        # a scalar through pow(), which rounds differently for ~0.1% of
+        # inputs, and the scalar and batched delays must carry the same bits
+        delay = (
+            (alpha - eta) * (gap * gap) + (1.0 - lam_p) ** 2 * (1.0 - alpha) * eta
+        ) / (gap * (1.0 - lam_p) * (1.0 - eta) * gamma)
+        # eta ~ 1 makes that 0/0; the rare stable points there are summed
+        degen = (eta >= 1.0 - 1e-9) & (lam_p < eta)
+        if np.any(degen):
+            delay = np.asarray(delay)
+            delay[degen] = _degenerate_delay(
+                lam_p, *(np.broadcast_to(v, delay.shape)[degen] for v in (alpha, gamma, eta, pi0))
+            )
+        stable = lam_p <= eta - STABILITY_MARGIN
+        feasible = stable & (delay <= delay_bound + DELAY_SLACK)
+    return OperatingPoint(
+        alpha, gamma, busy, retx, eta, pi0, sum_eps, mu_s, delay, stable, feasible
     )
 
 
-def state_probs(alpha: float, gamma: float, lam_p: float, k_max: int):
-    """Stationary per-level masses (pi, eps) for queue lengths 0..k_max.
+def operating_point(
+    profile: OutageProfile,
+    policy: PolicyFb,
+    sensing: SensingQuality,
+    traffic: TrafficParams,
+) -> OperatingPoint:
+    """closed_forms of a policy (scalar or batched) under traffic."""
+    alpha, gamma = success_probs(profile, policy, sensing, traffic.lam_e)
+    idle, busy, retx = _brackets(profile, policy, sensing)
+    return closed_forms(
+        traffic.lam_p, alpha, gamma, idle, busy, retx, traffic.lam_e, traffic.delay_bound
+    )
 
-    pi[k] is the probability of k queued packets with a fresh head, eps[k]
-    with a retransmitted head.  eps[0] is zero by convention: an empty queue
-    has no head packet.
-    """
-    _check_chain_inputs(alpha, gamma, lam_p)
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    eta = lam_p * alpha + (1.0 - lam_p) * gamma
-    if lam_p >= eta:
-        raise Unstable(f"lam_p={lam_p} >= eta={eta}")
+
+def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
+    """Per-level masses (pi, eps) of a stable chain for queue lengths
+    0..k_max, from its aggregates eta and pi0."""
     pi = np.zeros(k_max + 1)
     eps = np.zeros(k_max + 1)
-    pi0 = (eta - lam_p) / gamma
     pi[0] = pi0
     if k_max >= 1:
         pi[1] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
@@ -141,16 +215,71 @@ def state_probs(alpha: float, gamma: float, lam_p: float, k_max: int):
     return pi, eps
 
 
+def _degenerate_delay(lam_p: float, alpha, gamma, eta, pi0):
+    """Mean primary delay at eta ~ 1, where the delay closed form is 0/0.
+    eta ~ 1 forces alpha ~ 1 and gamma ~ 1, so almost every packet departs
+    in one slot; Little's law over the first 64 levels is exact to double
+    precision.  The inputs are 1-d arrays of the affected points."""
+    if lam_p == 0.0:
+        return 1.0 + (1.0 - alpha) / gamma
+
+    def series(a, g, e, p0):
+        pi, eps = _levels(lam_p, a, g, e, p0, 64)
+        return np.sum(np.arange(len(pi)) * (pi + eps)) / lam_p
+
+    return np.vectorize(series, otypes=[float])(alpha, gamma, eta, pi0)
+
+
+def _check_chain_inputs(alpha, gamma, lam_p) -> None:
+    for name, v in (("alpha", alpha), ("gamma", gamma), ("lam_p", lam_p)):
+        if np.any(np.asarray(v) < -PROB_TOL) or np.any(np.asarray(v) > 1.0 + PROB_TOL):
+            raise ValueError(f"{name}={v!r} outside [0, 1]")
+
+
+def _stable_point(alpha, gamma, lam_p) -> OperatingPoint:
+    """closed_forms of a chain given by its rates; raises ValueError on
+    rates outside [0, 1] and Unstable when lam_p >= eta."""
+    _check_chain_inputs(alpha, gamma, lam_p)
+    point = closed_forms(lam_p, alpha, gamma)
+    if lam_p >= point.eta:
+        raise Unstable(f"lam_p={lam_p} >= eta={point.eta}")
+    return point
+
+
+def chain_stats(alpha: float, gamma: float, lam_p: float) -> FeedbackChainStats:
+    """Stationary aggregates of the two-phase chain.  Raises Unstable when
+    lam_p >= eta."""
+    point = _stable_point(alpha, gamma, lam_p)
+    return FeedbackChainStats(
+        alpha=float(alpha),
+        gamma=float(gamma),
+        eta=float(point.eta),
+        pi0=float(point.pi0),
+        sum_pi=float(lam_p),
+        sum_eps=float(point.sum_eps),
+    )
+
+
+def state_probs(alpha: float, gamma: float, lam_p: float, k_max: int):
+    """Stationary per-level masses (pi, eps) for queue lengths 0..k_max.
+
+    pi[k] is the probability of k queued packets with a fresh head, eps[k]
+    with a retransmitted head.  eps[0] is zero by convention: an empty queue
+    has no head packet.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    point = _stable_point(alpha, gamma, lam_p)
+    return _levels(lam_p, alpha, gamma, point.eta, point.pi0, k_max)
+
+
 def tail_k_max(alpha: float, gamma: float, lam_p: float, tol: float = TAIL_TOL) -> int:
     """Smallest K with stationary mass above level K provably below tol."""
-    _check_chain_inputs(alpha, gamma, lam_p)
-    eta = lam_p * alpha + (1.0 - lam_p) * gamma
-    if lam_p >= eta:
-        raise Unstable(f"lam_p={lam_p} >= eta={eta}")
+    point = _stable_point(alpha, gamma, lam_p)
     if lam_p == 0.0:
         return 0
+    eta, pi0 = float(point.eta), float(point.pi0)
     rho = lam_p * (1.0 - eta) / ((1.0 - lam_p) * eta)
-    pi0 = (eta - lam_p) / gamma
     # total mass of level k >= 2 is pi0 (1-alpha) r^k (1-eta)^(k-2); these
     # levels decay geometrically with ratio rho < 1
     level = pi0 * (1.0 - alpha) * (lam_p / ((1.0 - lam_p) * eta)) ** 2
@@ -172,42 +301,16 @@ def secondary_service_rate(
     lam_e: float,
     stats: FeedbackChainStats,
 ):
-    """Saturated secondary throughput under the retransmission-aware scheme.
-
-    Empty and fresh-head slots reuse the sensing-only brackets; in
-    retransmission slots the secondary transmits blindly over the full slot
-    against a busy channel.
-    """
-    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
-    retx = policy.p_access_retx * profile.p_sec_full_conc
-    return lam_e * (stats.pi0 * idle + stats.sum_pi * busy + stats.sum_eps * retx)
-
-
-def degenerate_delay(alpha, gamma, lam_p: float):
-    """Mean primary delay at eta ~ 1, where the closed form of primary_delay
-    is 0/0.  eta ~ 1 forces alpha ~ 1 and gamma ~ 1, so almost every packet
-    departs in one slot.  alpha and gamma may be arrays of one shape."""
-    if lam_p == 0.0:
-        return 1.0 + (1.0 - alpha) / gamma
-
-    def series(a, g):
-        pi, eps = state_probs(a, g, lam_p, 64)
-        return np.sum(np.arange(len(pi)) * (pi + eps)) / lam_p
-
-    return np.vectorize(series, otypes=[float])(alpha, gamma)
+    """Saturated secondary throughput under the retransmission-aware scheme,
+    for the chain of stats (alpha, gamma and lam_p = sum_pi, as chain_stats
+    returns them)."""
+    idle, busy, retx = _brackets(profile, policy, sensing)
+    return closed_forms(stats.sum_pi, stats.alpha, stats.gamma, idle, busy, retx, lam_e).mu_s
 
 
 def primary_delay(alpha: float, gamma: float, lam_p: float) -> float:
     """Mean primary queueing delay in slots under the two-phase chain."""
-    _check_chain_inputs(alpha, gamma, lam_p)
-    eta = lam_p * alpha + (1.0 - lam_p) * gamma
-    if lam_p >= eta:
-        raise Unstable(f"lam_p={lam_p} >= eta={eta}")
-    if eta >= 1.0 - 1e-9:
-        return float(degenerate_delay(alpha, gamma, lam_p))
-    num = (alpha - eta) * (eta - lam_p) ** 2 + (1.0 - lam_p) ** 2 * (1.0 - alpha) * eta
-    den = (eta - lam_p) * (1.0 - lam_p) * (1.0 - eta) * gamma
-    return float(num / den)
+    return float(_stable_point(alpha, gamma, lam_p).delay)
 
 
 def analyze(
@@ -215,7 +318,6 @@ def analyze(
     policy: PolicyFb,
     sensing: SensingQuality,
     traffic: TrafficParams,
-    eps_stab: float = 1e-9,
 ) -> AnalysisReport:
     """Full operating-point summary for the retransmission-aware scheme.
 
@@ -224,30 +326,21 @@ def analyze(
     primary, whose head packet is then fresh a fraction
     gamma / (gamma + 1 - alpha) of the time.
     """
-    lam_p, lam_e = traffic.lam_p, traffic.lam_e
-    alpha, gamma = success_probs(profile, policy, sensing, lam_e)
-    alpha, gamma = float(alpha), float(gamma)
-    eta = lam_p * alpha + (1.0 - lam_p) * gamma
-    if lam_p < eta:
-        stats = chain_stats(alpha, gamma, lam_p)
-        mu_s = float(secondary_service_rate(profile, policy, sensing, lam_e, stats))
-        delay = primary_delay(alpha, gamma, lam_p)
-        nu0 = stats.pi0
+    point = operating_point(profile, policy, sensing, traffic)
+    alpha, gamma = float(point.alpha), float(point.gamma)
+    if traffic.lam_p < point.eta:
+        nu0, mu_s, delay = point.pi0, point.mu_s, point.delay
     else:
-        idle, busy = nofeedback.service_brackets(profile, policy, sensing)
-        retx = policy.p_access_retx * profile.p_sec_full_conc
         denom = gamma + 1.0 - alpha
         frac_fresh = gamma / denom if denom > 0 else 1.0
-        mu_s = float(lam_e * (frac_fresh * busy + (1.0 - frac_fresh) * retx))
-        delay = math.inf
-        nu0 = 0.0
-    stable = lam_p <= eta - eps_stab
+        saturated = frac_fresh * point.busy + (1.0 - frac_fresh) * point.retx
+        nu0, mu_s, delay = 0.0, traffic.lam_e * saturated, math.inf
     return AnalysisReport(
         mu_p=alpha,
-        mu_s=mu_s,
+        mu_s=float(mu_s),
         nu0=float(nu0),
-        delay=delay,
-        primary_stable=bool(stable),
-        delay_feasible=bool(stable and delay <= traffic.delay_bound),
+        delay=float(delay),
+        primary_stable=bool(point.stable),
+        delay_feasible=bool(point.feasible),
         secondary_stable=bool(traffic.lam_s < mu_s),
     )

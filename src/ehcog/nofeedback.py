@@ -12,11 +12,15 @@ leave in it) and an i.i.d. per-slot success probability mu_p.
 
 All rate expressions below are plain numpy arithmetic, so policy fields may
 be numpy arrays; every public function then returns arrays of the same shape.
+closed_forms() is the one place the queue-level formulas are written; the
+functions here, analyze, the optimizer and the simulator checks read them
+from it, through operating_point() when they start from a policy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,11 @@ from .params import (
 
 #: default truncation tolerance for queue-length tails
 TAIL_TOL = 1e-12
+#: the primary counts as stable when lam_p <= mu - STABILITY_MARGIN, where mu
+#: is the service rate of its queue (mu_p here, eta in the feedback scheme)
+STABILITY_MARGIN = 1e-9
+#: a stable point meets the delay constraint when delay <= bound + DELAY_SLACK
+DELAY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,8 +53,9 @@ class AnalysisReport:
     mu_s             secondary throughput in packets/slot (saturated data)
     nu0              stationary probability the primary queue is empty
     delay            mean primary queueing delay in slots (inf if unstable)
-    primary_stable   lam_p below the service rate with margin
-    delay_feasible   primary_stable and delay <= delay_bound
+    primary_stable   lam_p <= service rate - STABILITY_MARGIN
+    delay_feasible   primary_stable and delay <= delay_bound + DELAY_SLACK,
+                     the test the optimizer applies to every candidate
     secondary_stable lam_s < mu_s
     """
 
@@ -121,6 +131,69 @@ def service_brackets(
     return idle, busy
 
 
+class OperatingPoint(NamedTuple):
+    """Closed forms of the sensing-only scheme at one operating point, or at
+    a batch of them when the inputs are arrays.
+
+    mu_p, busy        building blocks: the primary service rate and the
+                      busy bracket of service_brackets
+    nu0               probability the primary queue is empty
+    mu_s              saturated secondary throughput in packets/slot
+    delay             mean primary queueing delay in slots
+    stable            lam_p <= mu_p - STABILITY_MARGIN
+    feasible          stable and delay <= delay_bound + DELAY_SLACK
+
+    nu0, mu_s and delay mean something only where lam_p < mu_p.
+    """
+
+    mu_p: np.ndarray
+    busy: np.ndarray
+    nu0: np.ndarray
+    mu_s: np.ndarray
+    delay: np.ndarray
+    stable: np.ndarray
+    feasible: np.ndarray
+
+    @property
+    def mu_eff(self):
+        """The service rate lam_p must stay below."""
+        return self.mu_p
+
+
+def closed_forms(
+    lam_p, mu_p, idle=0.0, busy=0.0, lam_e=0.0, delay_bound=math.inf
+) -> OperatingPoint:
+    """The queue-level closed forms of the sensing-only scheme.  This is the
+    only place they are written.
+
+    Only elementwise IEEE operations, so each entry of a batch has the same
+    bits as its point evaluated alone.  Scalar inputs give numpy scalars.
+    Where lam_p >= mu_p the divisions give inf or nan instead of raising.
+    """
+    mu_p = np.asarray(mu_p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        occ = lam_p / mu_p  # busy probability
+        nu0 = 1.0 - occ
+        mu_s = lam_e * (nu0 * idle + occ * busy)
+        del occ  # not returned: one less batch-sized array alive below
+        delay = (1.0 - lam_p) / (mu_p - lam_p)
+        stable = lam_p <= mu_p - STABILITY_MARGIN
+        feasible = stable & (delay <= delay_bound + DELAY_SLACK)
+    return OperatingPoint(mu_p, busy, nu0, mu_s, delay, stable, feasible)
+
+
+def operating_point(
+    profile: OutageProfile,
+    policy: PolicyNoFb,
+    sensing: SensingQuality,
+    traffic: TrafficParams,
+) -> OperatingPoint:
+    """closed_forms of a policy (scalar or batched) under traffic."""
+    mu_p = primary_service_rate(profile, policy, sensing, traffic.lam_e)
+    idle, busy = service_brackets(profile, policy, sensing)
+    return closed_forms(traffic.lam_p, mu_p, idle, busy, traffic.lam_e, traffic.delay_bound)
+
+
 def secondary_service_rate(
     profile: OutageProfile,
     policy: PolicyNoFb,
@@ -137,8 +210,7 @@ def secondary_service_rate(
     if np.any(lam_p >= mu_p):
         raise Unstable(f"lam_p={lam_p!r} >= mu_p={mu_p!r}")
     idle, busy = service_brackets(profile, policy, sensing)
-    occ = lam_p / mu_p
-    return lam_e * ((1.0 - occ) * idle + occ * busy)
+    return closed_forms(lam_p, mu_p, idle, busy, lam_e).mu_s
 
 
 def primary_delay(lam_p: float, mu_p: float):
@@ -147,7 +219,7 @@ def primary_delay(lam_p: float, mu_p: float):
         raise ValueError("need 0 <= lam_p and mu_p <= 1")
     if np.any(lam_p >= mu_p):
         raise Unstable(f"lam_p={lam_p!r} >= mu_p={mu_p!r}")
-    return (1.0 - lam_p) / (mu_p - lam_p)
+    return closed_forms(lam_p, mu_p).delay
 
 
 def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
@@ -162,7 +234,7 @@ def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
         raise Unstable(f"lam_p={lam_p} >= mu_p={mu_p}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    nu0 = 1.0 - lam_p / mu_p
+    nu0 = float(closed_forms(lam_p, mu_p).nu0)
     out = np.empty(k_max + 1)
     out[0] = nu0
     if k_max >= 1:
@@ -180,7 +252,7 @@ def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
         raise Unstable(f"lam_p={lam_p} >= mu_p={mu_p}")
     if lam_p == 0.0:
         return 0
-    nu0 = 1.0 - lam_p / mu_p
+    nu0 = float(closed_forms(lam_p, mu_p).nu0)
     r = lam_p / ((1.0 - lam_p) * mu_p)
     rho = r * (1.0 - mu_p)  # geometric decay of the tail, < 1 when stable
     # mass above K is nu_{K+1} / (1 - rho) = nu0 * r * rho^K / (1 - rho)
@@ -199,31 +271,23 @@ def analyze(
     policy: PolicyNoFb,
     sensing: SensingQuality,
     traffic: TrafficParams,
-    eps_stab: float = 1e-9,
 ) -> AnalysisReport:
     """Full operating-point summary for the sensing-only scheme.
 
     If the primary queue is unstable the secondary rates are reported for the
     saturated primary (always busy) and the delay is infinite.
     """
-    lam_p, lam_e = traffic.lam_p, traffic.lam_e
-    mu_p = float(primary_service_rate(profile, policy, sensing, lam_e))
-    idle, busy = service_brackets(profile, policy, sensing)
-    if lam_p < mu_p:
-        nu0 = 1.0 - lam_p / mu_p
-        mu_s = float(lam_e * (nu0 * idle + (lam_p / mu_p) * busy))
-        delay = float(primary_delay(lam_p, mu_p))
+    point = operating_point(profile, policy, sensing, traffic)
+    if traffic.lam_p < point.mu_p:
+        nu0, mu_s, delay = point.nu0, point.mu_s, point.delay
     else:
-        nu0 = 0.0
-        mu_s = float(lam_e * busy)
-        delay = math.inf
-    stable = lam_p <= mu_p - eps_stab
+        nu0, mu_s, delay = 0.0, traffic.lam_e * point.busy, math.inf
     return AnalysisReport(
-        mu_p=mu_p,
-        mu_s=mu_s,
+        mu_p=float(point.mu_p),
+        mu_s=float(mu_s),
         nu0=float(nu0),
-        delay=delay,
-        primary_stable=bool(stable),
-        delay_feasible=bool(stable and delay <= traffic.delay_bound),
+        delay=float(delay),
+        primary_stable=bool(point.stable),
+        delay_feasible=bool(point.feasible),
         secondary_stable=bool(traffic.lam_s < mu_s),
     )

@@ -3,9 +3,12 @@
 Decision variables are the sensing/access probabilities in the fixed order
 (p_sense, p_access_free, p_access_busy, p_access_direct[, p_access_retx]);
 the random-access scheme collapses to the single variable p_access_direct.
-Constraints: primary stability lam_p <= mu - eps_stab (mu is mu_p for the
-sensing-only scheme, eta for the retransmission-aware one) and mean primary
-delay <= delay_bound + eps_feas.
+Constraints: primary stability lam_p <= mu - STABILITY_MARGIN (mu is mu_p
+for the sensing-only scheme, eta for the retransmission-aware one) and mean
+primary delay <= delay_bound + DELAY_SLACK.  Both tests, like the rates and
+the delay, come from the scheme's operating_point(), the closed forms that
+analyze() reads too, so a result is feasible exactly when analyze() calls
+its policy delay_feasible.
 
 solve() is a multi-start pattern search over a tiered merit function
 (feasible points score their throughput, delay violators score in [-2,-1),
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import feedback, nofeedback
+from .nofeedback import STABILITY_MARGIN
 from .params import (
     OutageProfile,
     PolicyFb,
@@ -79,9 +83,10 @@ class SolverConfig:
     max_sweeps  pattern-search sweep budget per start
     init_step / shrink / min_step  probe step schedule
     audit_step  internal coarse grid whose best point seeds one start
-    eps_stab    stability margin: lam_p <= mu - eps_stab
-    eps_feas    delay slack: delay <= delay_bound + eps_feas
     tie_tol     throughput window treated as a tie (broken lexicographically)
+
+    The stability margin and the delay slack are not knobs: they are
+    nofeedback.STABILITY_MARGIN and DELAY_SLACK, which analyze() applies too.
     """
 
     n_starts: int = 64
@@ -91,13 +96,13 @@ class SolverConfig:
     shrink: float = 0.5
     min_step: float = 1e-6
     audit_step: float = 0.1
-    eps_stab: float = 1e-9
-    eps_feas: float = 1e-9
     tie_tol: float = 1e-12
 
     def __post_init__(self):
         if self.n_starts < 32:
             raise ValueError("n_starts must be >= 32")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.audit_step <= 0.5:
             raise ValueError("audit_step must be in (0, 0.5]")
         if not 0.0 < self.shrink < 1.0:
@@ -141,56 +146,31 @@ def _vector_from_policy(scheme: Scheme, policy: PolicyNoFb) -> np.ndarray:
     return np.array([getattr(policy, name) for name in VAR_NAMES[scheme]])
 
 
-def _evaluate(problem: OptProblem, X: np.ndarray, eps_stab: float, eps_feas: float):
-    """Vectorised constraint/objective evaluation.
+def _evaluate(problem: OptProblem, X: np.ndarray):
+    """Vectorised constraint/objective evaluation: a thin call into the
+    scheme's closed forms, the same ones analyze() reads.
 
     X has shape (n, d).  Returns (mu_s, mu_eff, delay, stable, feasible)
     arrays of length n, where mu_eff is the service rate the stability
     constraint compares against.  Entries of mu_s and delay at unstable
     points are unreliable and must be read through the masks.
     """
-    profile, sensing, traffic = problem.profile, problem.sensing, problem.traffic
-    lam_p, lam_e = traffic.lam_p, traffic.lam_e
+    mod = feedback if problem.scheme is Scheme.FEEDBACK else nofeedback
     pol = _policy_from_vector(problem.scheme, X.T)
-    idle, busy = nofeedback.service_brackets(profile, pol, sensing)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if problem.scheme is Scheme.FEEDBACK:
-            alpha, gamma = feedback.success_probs(profile, pol, sensing, lam_e)
-            mu_eff = lam_p * alpha + (1.0 - lam_p) * gamma  # eta
-            pi0 = (mu_eff - lam_p) / gamma
-            eps_mass = lam_p * (1.0 - alpha) / gamma
-            retx = pol.p_access_retx * profile.p_sec_full_conc
-            mu_s = lam_e * (pi0 * idle + lam_p * busy + eps_mass * retx)
-            num = (alpha - mu_eff) * (mu_eff - lam_p) ** 2 + (
-                1.0 - lam_p
-            ) ** 2 * (1.0 - alpha) * mu_eff
-            den = (mu_eff - lam_p) * (1.0 - lam_p) * (1.0 - mu_eff) * gamma
-            delay = num / den
-            # eta ~ 1 makes the closed form 0/0; the rare stable points there
-            # take the scalar definition, so solve() and analyze() agree
-            degen = (mu_eff >= 1.0 - 1e-9) & (lam_p < mu_eff)
-            if np.any(degen):
-                delay[degen] = feedback.degenerate_delay(alpha[degen], gamma[degen], lam_p)
-        else:
-            mu_eff = nofeedback.primary_service_rate(profile, pol, sensing, lam_e)
-            occ = lam_p / mu_eff
-            mu_s = lam_e * ((1.0 - occ) * idle + occ * busy)
-            delay = (1.0 - lam_p) / (mu_eff - lam_p)
-        stable = lam_p <= mu_eff - eps_stab
-        feasible = stable & (delay <= traffic.delay_bound + eps_feas)
-    return mu_s, mu_eff, delay, stable, feasible
+    point = mod.operating_point(problem.profile, pol, problem.sensing, problem.traffic)
+    return point.mu_s, point.mu_eff, point.delay, point.stable, point.feasible
 
 
-def _merit(problem: OptProblem, X: np.ndarray, eps_stab: float, eps_feas: float):
+def _merit(problem: OptProblem, X: np.ndarray):
     """Tiered score: feasible -> mu_s (>= 0); stable but delay-violating ->
     (-2, -1]; unstable -> (-3, -2].  Higher is better in every tier."""
     lam_p = problem.traffic.lam_p
     d_bound = problem.traffic.delay_bound
-    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, X, eps_stab, eps_feas)
+    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, X)
     with np.errstate(invalid="ignore", over="ignore"):
         excess = np.maximum(delay - d_bound, 0.0)
         delay_score = -1.0 - excess / (1.0 + excess)
-        viol = np.clip(lam_p - (mu_eff - eps_stab), 0.0, 1.0)
+        viol = np.clip(lam_p - (mu_eff - STABILITY_MARGIN), 0.0, 1.0)
         unstable_score = -2.0 - viol
         out = np.where(feasible, mu_s, np.where(stable, delay_score, unstable_score))
     return out
@@ -228,7 +208,7 @@ def _grid_chunks(vals: np.ndarray, d: int, max_chunk: int = 1 << 21):
             yield X
 
 
-def _scan_grid(problem, step, eps_stab, eps_feas, tie_tol, feasible_only, max_chunk=1 << 21):
+def _scan_grid(problem, step, tie_tol, feasible_only, max_chunk=1 << 21):
     """Two-pass exhaustive grid scan in lexicographic order.
 
     Pass 1 finds the best score (mu_s over feasible points if feasible_only,
@@ -245,19 +225,19 @@ def _scan_grid(problem, step, eps_stab, eps_feas, tie_tol, feasible_only, max_ch
     for X in _grid_chunks(vals, d, max_chunk):
         n_evals += X.shape[0]
         if feasible_only:
-            mu_s, _, _, _, feas = _evaluate(problem, X, eps_stab, eps_feas)
+            mu_s, _, _, _, feas = _evaluate(problem, X)
             if np.any(feas):
                 best = max(best, float(np.max(mu_s[feas])))
         else:
-            best = max(best, float(np.max(_merit(problem, X, eps_stab, eps_feas))))
+            best = max(best, float(np.max(_merit(problem, X))))
     if not math.isfinite(best):
         return None, best, n_evals
     for X in _grid_chunks(vals, d, max_chunk):
         if feasible_only:
-            mu_s, _, _, _, feas = _evaluate(problem, X, eps_stab, eps_feas)
+            mu_s, _, _, _, feas = _evaluate(problem, X)
             score = np.where(feas, mu_s, -math.inf)
         else:
-            score = _merit(problem, X, eps_stab, eps_feas)
+            score = _merit(problem, X)
         hits = np.flatnonzero(score >= best - tie_tol)
         if hits.size:
             return X[hits[0]].copy(), best, n_evals
@@ -285,13 +265,7 @@ def _finish(problem: OptProblem, x, feasible: bool, meta: SolverMeta) -> OptResu
     )
 
 
-def grid_oracle(
-    problem: OptProblem,
-    step: float,
-    eps_stab: float = 1e-9,
-    eps_feas: float = 1e-9,
-    tie_tol: float = 1e-12,
-) -> OptResult:
+def grid_oracle(problem: OptProblem, step: float, tie_tol: float = 1e-12) -> OptResult:
     """Exhaustive search over the Cartesian policy grid with the given step.
 
     Returns the best feasible grid point (lexicographically smallest among
@@ -300,7 +274,7 @@ def grid_oracle(
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
-    x, best, n_evals = _scan_grid(problem, step, eps_stab, eps_feas, tie_tol, True)
+    x, best, n_evals = _scan_grid(problem, step, tie_tol, True)
     meta = SolverMeta(n_starts=0, n_evals=n_evals, best_start=-1)
     return _finish(problem, x, x is not None, meta)
 
@@ -337,7 +311,7 @@ def _pattern_search(problem, X0, cfg: SolverConfig):
     per-start arrays (X, merit, n_evals).  Deterministic.
     """
     X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0)
-    M = _merit(problem, X, cfg.eps_stab, cfg.eps_feas)
+    M = _merit(problem, X)
     n_evals = np.ones(X.shape[0], dtype=np.int64)
     dirs = _directions(X.shape[1])
     h = np.full(X.shape[0], cfg.init_step)
@@ -347,7 +321,7 @@ def _pattern_search(problem, X0, cfg: SolverConfig):
         P = np.clip(x + h[active, None, None] * dirs, 0.0, 1.0)
         keep = np.any(P != x, axis=2)
         scores = np.full(keep.shape, -math.inf)
-        scores[keep] = _merit(problem, P[keep], cfg.eps_stab, cfg.eps_feas)
+        scores[keep] = _merit(problem, P[keep])
         n_evals[active] += keep.sum(axis=1)
         rows = np.arange(active.size)
         best = np.argmax(scores, axis=1)
@@ -376,9 +350,7 @@ def _start_points(problem: OptProblem, cfg: SolverConfig):
     from scipy.stats import qmc  # deferred: the only scipy use, and slow to import
 
     d = _dim(problem.scheme)
-    audit_x, _, audit_evals = _scan_grid(
-        problem, cfg.audit_step, cfg.eps_stab, cfg.eps_feas, cfg.tie_tol, False, AUDIT_CHUNK
-    )
+    audit_x, _, audit_evals = _scan_grid(problem, cfg.audit_step, cfg.tie_tol, False, AUDIT_CHUNK)
     sobol = qmc.Sobol(d, scramble=True, seed=cfg.seed)
     starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol.random(cfg.n_starts)])
     return starts, audit_evals

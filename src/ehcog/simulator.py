@@ -48,7 +48,6 @@ from .params import (
     Scheme,
     SensingQuality,
     TrafficParams,
-    Unstable,
 )
 
 #: decision categories, each with its own RNG substream
@@ -333,21 +332,11 @@ class LowerBoundReport:
         return all(c.passed for c in self.checks)
 
 
-def _analytic_mu_s(scheme, policy, profile, sensing, traffic) -> float:
-    try:
-        if scheme is Scheme.FEEDBACK:
-            alpha, gamma = feedback.success_probs(profile, policy, sensing, traffic.lam_e)
-            stats = feedback.chain_stats(float(alpha), float(gamma), traffic.lam_p)
-            return float(
-                feedback.secondary_service_rate(profile, policy, sensing, traffic.lam_e, stats)
-            )
-        return float(
-            nofeedback.secondary_service_rate(
-                profile, policy, sensing, traffic.lam_e, traffic.lam_p
-            )
-        )
-    except Unstable:
-        return math.nan
+def predict(scheme, policy, profile, sensing, traffic):
+    """The closed forms' operating point of a simulated configuration: the
+    nofeedback or feedback OperatingPoint that analyze reads too."""
+    mod = feedback if scheme is Scheme.FEEDBACK else nofeedback
+    return mod.operating_point(profile, policy, sensing, traffic)
 
 
 def validate_lower_bound(
@@ -369,7 +358,8 @@ def validate_lower_bound(
     """
     exact = run(scheme, policy, profile, sensing, traffic, SimSemantics.EXACT, n_slots, seed)
     blg = run(scheme, policy, profile, sensing, traffic, SimSemantics.BACKLOGGED, n_slots, seed)
-    mu_s_analytic = _analytic_mu_s(scheme, policy, profile, sensing, traffic)
+    point = predict(scheme, policy, profile, sensing, traffic)
+    mu_s_analytic = float(point.mu_s) if traffic.lam_p < point.mu_eff else math.nan
     unstable = exact.drift_detected or blg.drift_detected
     checks = []
     if traffic.lam_s > 0:
@@ -424,54 +414,33 @@ class ResidualCheck:
     passed: bool
 
 
-def closed_form_checks(
-    scheme: Scheme,
-    policy: PolicyNoFb,
-    profile: OutageProfile,
-    sensing: SensingQuality,
-    traffic: TrafficParams,
-    n_slots: int = 1_000_000,
-    seed: int = 0,
-) -> tuple[SimStats, tuple]:
-    """Backlogged-semantics run compared against every applicable closed
-    form at 3 standard errors.  Returns (stats, checks).
+def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
+    """Compare a backlogged run with the closed forms' predictions (point,
+    from predict() at the run's configuration) at 3 standard errors.
 
     For the sensing-only scheme the predictions are the service rates, the
     empty-queue probability and the delay; the retransmission-aware scheme
     additionally pins the retransmission-slot mass, with the empty fraction
     compared against pi0.  Unstable configurations yield no checks.
     """
-    stats = run(scheme, policy, profile, sensing, traffic, SimSemantics.BACKLOGGED, n_slots, seed)
-    lam_p, lam_e = traffic.lam_p, traffic.lam_e
     pairs = []  # (name, measured, predicted, halfwidth)
-    if scheme is Scheme.FEEDBACK:
-        alpha, gamma = feedback.success_probs(profile, policy, sensing, lam_e)
-        alpha, gamma = float(alpha), float(gamma)
-        eta = lam_p * alpha + (1.0 - lam_p) * gamma
-        if lam_p < eta:
-            ch = feedback.chain_stats(alpha, gamma, lam_p)
-            mu_s = feedback.secondary_service_rate(profile, policy, sensing, lam_e, ch)
-            pairs.append(("empty_frac_p vs pi0", stats.empty_frac_p, ch.pi0, stats.ci_halfwidths["empty_frac_p"]))
-            pairs.append(("retx_frac vs sum_eps", stats.retx_frac, ch.sum_eps, stats.ci_halfwidths["retx_frac"]))
-            pairs.append(("mu_s_hat vs mu_s", stats.mu_s_hat, float(mu_s), stats.ci_halfwidths["mu_s_hat"]))
+    ci = stats.ci_halfwidths
+    if lam_p < point.mu_eff:
+        if stats.scheme is Scheme.FEEDBACK:
+            pairs.append(("empty_frac_p vs pi0", stats.empty_frac_p, point.pi0, ci["empty_frac_p"]))
+            pairs.append(("retx_frac vs sum_eps", stats.retx_frac, point.sum_eps, ci["retx_frac"]))
+            pairs.append(("mu_s_hat vs mu_s", stats.mu_s_hat, point.mu_s, ci["mu_s_hat"]))
             if lam_p > 0:
-                pairs.append(
-                    ("delay_hat vs delay", stats.delay_hat, feedback.primary_delay(alpha, gamma, lam_p), stats.ci_halfwidths["delay_hat"])
-                )
-    else:
-        mu_p = float(nofeedback.primary_service_rate(profile, policy, sensing, lam_e))
-        if lam_p < mu_p:
-            mu_s = nofeedback.secondary_service_rate(profile, policy, sensing, lam_e, lam_p)
-            nu0 = 1.0 - lam_p / mu_p
+                pairs.append(("delay_hat vs delay", stats.delay_hat, point.delay, ci["delay_hat"]))
+        else:
             if lam_p > 0:
-                pairs.append(("mu_p_hat vs mu_p", stats.mu_p_hat, mu_p, stats.ci_halfwidths["mu_p_hat"]))
-                pairs.append(
-                    ("delay_hat vs delay", stats.delay_hat, float(nofeedback.primary_delay(lam_p, mu_p)), stats.ci_halfwidths["delay_hat"])
-                )
-            pairs.append(("mu_s_hat vs mu_s", stats.mu_s_hat, float(mu_s), stats.ci_halfwidths["mu_s_hat"]))
-            pairs.append(("empty_frac_p vs nu0", stats.empty_frac_p, nu0, stats.ci_halfwidths["empty_frac_p"]))
+                pairs.append(("mu_p_hat vs mu_p", stats.mu_p_hat, point.mu_p, ci["mu_p_hat"]))
+                pairs.append(("delay_hat vs delay", stats.delay_hat, point.delay, ci["delay_hat"]))
+            pairs.append(("mu_s_hat vs mu_s", stats.mu_s_hat, point.mu_s, ci["mu_s_hat"]))
+            pairs.append(("empty_frac_p vs nu0", stats.empty_frac_p, point.nu0, ci["empty_frac_p"]))
     checks = []
     for name, measured, predicted, half in pairs:
+        predicted = float(predicted)
         bound = 3.0 * half / Z95 if math.isfinite(half) else math.inf
         residual = abs(measured - predicted)
         # an exact-zero sampling variance means the quantity is deterministic
@@ -487,4 +456,20 @@ def closed_form_checks(
                 passed=bool(residual <= bound),
             )
         )
-    return stats, tuple(checks)
+    return tuple(checks)
+
+
+def closed_form_checks(
+    scheme: Scheme,
+    policy: PolicyNoFb,
+    profile: OutageProfile,
+    sensing: SensingQuality,
+    traffic: TrafficParams,
+    n_slots: int = 1_000_000,
+    seed: int = 0,
+) -> tuple[SimStats, tuple]:
+    """Backlogged-semantics run compared against every applicable closed
+    form by residual_checks.  Returns (stats, checks)."""
+    stats = run(scheme, policy, profile, sensing, traffic, SimSemantics.BACKLOGGED, n_slots, seed)
+    point = predict(scheme, policy, profile, sensing, traffic)
+    return stats, residual_checks(stats, point, traffic.lam_p)

@@ -156,7 +156,7 @@ def pattern_search_one(problem, x0, cfg):
     from ehcog.optimizer import _directions, _merit
 
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    m = float(_merit(problem, x[None, :], cfg.eps_stab, cfg.eps_feas)[0])
+    m = float(_merit(problem, x[None, :])[0])
     n_evals = 1
     dirs = _directions(x.size)
     h = cfg.init_step
@@ -164,7 +164,7 @@ def pattern_search_one(problem, x0, cfg):
         P = np.clip(x + h * dirs, 0.0, 1.0)
         keep = np.any(P != x, axis=1)
         P = P[keep]
-        scores = _merit(problem, P, cfg.eps_stab, cfg.eps_feas)
+        scores = _merit(problem, P)
         n_evals += P.shape[0]
         i = int(np.argmax(scores))
         if scores[i] > m + 1e-15:

@@ -1,11 +1,26 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from ehcog.cli import ANALYZE_HEADER, OPT_HEADER, SIM_HEADER, main
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(argv):
+    """`python -m ehcog.cli ...` in a fresh interpreter that imports the
+    package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ehcog.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(capsys, argv):
@@ -255,10 +270,45 @@ def test_help_and_missing_command():
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ehcog.cli", "analyze", "--preset", "fig4"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["analyze", "--preset", "fig4"])
     assert proc.returncode == 2
     assert "mu_s: " in proc.stdout
+
+
+PHYSICS_CONFIG = {
+    "scheme": "nofeedback",
+    "profile": {
+        "physics": {
+            "primary": {"bits_per_packet": 1.0, "slot_duration": 1.0,
+                        "bandwidth": 1.0, "mean_snr": 2.0},
+            "secondary": {"bits_per_packet": 1.0, "slot_duration": 1.0,
+                          "sensing_duration": 0.1, "bandwidth": 1.0, "mean_snr": 2.0},
+            "cross": {"sec_at_primary_rx": 2.0, "pri_at_sec_rx": 2.0},
+            "power_mode": "bogus",
+        }
+    },
+    "traffic": {"lam_p": 0.0, "lam_s": 0.0, "lam_e": 0.8},
+    "policy": {},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["simulate", "--preset", "fig4", "--slots", "0"], None),
+        (["validate", "--preset", "fig4", "--slots", "0"], None),
+        (["simulate", "--preset", "fig4"], {"sim": {"n_slots": "abc"}}),
+        (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.1, 1.5]}}),
+        (["analyze"], PHYSICS_CONFIG),
+        (["optimize", "--preset", "fig4", "--seed", "-1"], None),
+    ],
+    ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
+         "power-mode-bogus", "optimize-seed-negative"],
+)
+def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config):
+    if config is not None:
+        argv = argv + ["--config", write_yaml(tmp_path / "c.yaml", config)]
+    proc = run_module(argv)
+    assert proc.returncode == 1
+    assert any(line.startswith("config error: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr

@@ -20,15 +20,19 @@ from ehcog import (
 )
 from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
+from ehcog.cli import _sweep_tasks
+from ehcog.nofeedback import DELAY_SLACK
 from ehcog.optimizer import (
     AUDIT_CHUNK,
     VAR_NAMES,
     _directions,
     _pattern_search,
+    _policy_from_vector,
     _scan_grid,
     _start_points,
     _vector_from_policy,
 )
+from ehcog.presets import get_preset
 from oracles import pattern_search_one, solve_per_start
 
 
@@ -42,6 +46,39 @@ def make_problem(preset_profile, preset_sensing, scheme, lam_p, bound, lam_e=0.8
 
 
 FAST = SolverConfig(n_starts=32, seed=0)
+
+
+def random_problem(p, fractions, sensing, lam_p, lam_e, bound, scheme):
+    """A valid problem from hypothesis draws: fractions scale the success
+    probabilities down from p and p_sec_full."""
+    conc, full, short, full_conc, short_conc = fractions
+    profile = OutageProfile(
+        p_primary=p,
+        p_primary_conc=p * conc,
+        p_sec_full=full,
+        p_sec_short=full * short,
+        p_sec_full_conc=full * full_conc,
+        p_sec_short_conc=full * min(short, full_conc) * short_conc,
+    )
+    return OptProblem(
+        scheme, profile, SensingQuality(*sensing), TrafficParams(lam_p, 1.0, lam_e, bound)
+    )
+
+
+random_problems = st.builds(
+    random_problem,
+    p=st.floats(0.05, 1.0),
+    fractions=st.tuples(*[st.floats(0.0, 1.0)] * 5),
+    sensing=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    lam_p=st.floats(0.0, 0.9),
+    lam_e=st.floats(0.0, 1.0),
+    bound=st.sampled_from([1.0, 1.5, 2.0, 5.0, math.inf]),
+    scheme=st.sampled_from(list(Scheme)),
+)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def test_variable_order():
@@ -206,6 +243,8 @@ def test_config_validation():
         SolverConfig(shrink=1.0)
     with pytest.raises(ValueError):
         SolverConfig(init_step=0.8)
+    with pytest.raises(ValueError):
+        SolverConfig(seed=-1)
 
 
 def test_grid_oracle_validates_step(preset_profile, preset_sensing):
@@ -243,19 +282,76 @@ def test_solve_and_analyze_agree_at_eta_one():
     sensing = SensingQuality(0.1, 0.08)
     traffic = TrafficParams(0.0, 1.0, 0.8, 1.0)
     prob = OptProblem(Scheme.FEEDBACK, profile, sensing, traffic)
-    # without delay slack both layers apply the same test
-    strict = (
-        solve(prob, SolverConfig(n_starts=32, eps_feas=0.0)),
-        grid_oracle(prob, step=0.1, eps_feas=0.0),
-    )
-    for res in strict:
+    for res in (solve(prob, SolverConfig()), grid_oracle(prob, step=0.1)):
         rep = fb.analyze(profile, res.policy, sensing, traffic)
-        assert res.feasible == rep.delay_feasible
-    # with the default 1e-9 slack a feasible result stays inside it
+        assert res.feasible and rep.delay_feasible
+        assert same_bits(res.mu_s, rep.mu_s) and same_bits(res.delay, rep.delay)
+
+
+#: fig4 rows whose optimum sits above the 2-slot bound by at most
+#: DELAY_SLACK, where solve() and analyze() must apply the same slack
+FIG4_SLACK_ROWS = [
+    (Scheme.RANDOM_ACCESS, 0.05),
+    (Scheme.RANDOM_ACCESS, 0.4),
+    (Scheme.NOFEEDBACK, 0.4),
+    (Scheme.FEEDBACK, 0.4),
+]
+
+
+@pytest.mark.parametrize("scheme, lam_p", FIG4_SLACK_ROWS)
+def test_fig4_rows_in_the_delay_slack_agree_with_analyze(scheme, lam_p):
+    tasks, solver_cfg = _sweep_tasks(get_preset("fig4"))
+    (prob,) = [t[3] for t in tasks if t[1] == lam_p and t[2] is scheme]
+    res = solve(prob, solver_cfg)
+    mod = fb if scheme is Scheme.FEEDBACK else nofb
+    rep = mod.analyze(prob.profile, res.policy, prob.sensing, prob.traffic)
+    assert res.feasible and rep.delay_feasible
+    bound = prob.traffic.delay_bound
+    assert bound < rep.delay <= bound + DELAY_SLACK
+
+
+@settings(max_examples=25, deadline=None)
+@given(prob=random_problems)
+def test_feasible_is_analyze_delay_feasible(prob):
+    mod = fb if prob.scheme is Scheme.FEEDBACK else nofb
     for res in (solve(prob, FAST), grid_oracle(prob, step=0.1)):
-        rep = fb.analyze(profile, res.policy, sensing, traffic)
-        assert res.feasible and rep.primary_stable
-        assert rep.delay <= traffic.delay_bound + 1e-9
+        rep = mod.analyze(prob.profile, res.policy, prob.sensing, prob.traffic)
+        assert res.feasible == rep.delay_feasible
+        if res.feasible:
+            assert same_bits(res.mu_s, rep.mu_s)
+
+
+@pytest.mark.parametrize("lam_p", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("scheme", [Scheme.NOFEEDBACK, Scheme.FEEDBACK])
+def test_batched_closed_forms_match_scalar_analyze_bitwise(scheme, lam_p):
+    # a perfect primary link puts eta within 1e-9 of 1 for near-silent
+    # policies; at lam_p = 0.9 most random policies are unstable
+    profile = OutageProfile(1.0, 0.2, 0.6, 0.5, 0.3, 0.2)
+    sensing = SensingQuality(0.1, 0.08)
+    traffic = TrafficParams(lam_p, 0.5, 0.8, 1.5)
+    mod = fb if scheme is Scheme.FEEDBACK else nofb
+    d = len(VAR_NAMES[scheme])
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.random((3000, d)), 1e-10 * rng.random((50, d)), np.zeros(d), np.ones(d)])
+    batch = mod.operating_point(profile, _policy_from_vector(scheme, X.T), sensing, traffic)
+    n_unstable = n_degenerate = 0
+    for i, x in enumerate(X):
+        policy = _policy_from_vector(scheme, [float(v) for v in x])
+        one = mod.operating_point(profile, policy, sensing, traffic)
+        for name, value in zip(one._fields, one):
+            assert same_bits(np.broadcast_to(getattr(batch, name), X.shape[:1])[i], value), name
+        rep = mod.analyze(profile, policy, sensing, traffic)
+        assert rep.primary_stable == batch.stable[i]
+        assert rep.delay_feasible == batch.feasible[i]
+        if lam_p < batch.mu_eff[i]:
+            nu0 = batch.pi0 if scheme is Scheme.FEEDBACK else batch.nu0
+            assert same_bits(rep.nu0, nu0[i]) and same_bits(rep.mu_s, batch.mu_s[i])
+            assert same_bits(rep.delay, batch.delay[i])
+            n_degenerate += bool(batch.mu_eff[i] >= 1.0 - 1e-9)
+        else:
+            n_unstable += 1
+    assert n_unstable > 0 or lam_p < 0.9
+    assert n_degenerate > 0 or scheme is Scheme.NOFEEDBACK
 
 
 @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
@@ -289,30 +385,8 @@ def test_lockstep_search_tracks_every_start(preset_profile, preset_sensing):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    p=st.floats(0.05, 1.0),
-    fractions=st.tuples(*[st.floats(0.0, 1.0)] * 5),
-    sensing=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
-    lam_p=st.floats(0.0, 0.9),
-    lam_e=st.floats(0.0, 1.0),
-    bound=st.sampled_from([1.0, 1.5, 2.0, 5.0, math.inf]),
-    scheme=st.sampled_from(list(Scheme)),
-)
-def test_lockstep_solve_matches_oracle_on_random_problems(
-    p, fractions, sensing, lam_p, lam_e, bound, scheme
-):
-    conc, full, short, full_conc, short_conc = fractions
-    profile = OutageProfile(
-        p_primary=p,
-        p_primary_conc=p * conc,
-        p_sec_full=full,
-        p_sec_short=full * short,
-        p_sec_full_conc=full * full_conc,
-        p_sec_short_conc=full * min(short, full_conc) * short_conc,
-    )
-    prob = OptProblem(
-        scheme, profile, SensingQuality(*sensing), TrafficParams(lam_p, 1.0, lam_e, bound)
-    )
+@given(prob=random_problems)
+def test_lockstep_solve_matches_oracle_on_random_problems(prob):
     assert solve(prob, FAST) == solve_per_start(prob, FAST)
 
 
@@ -323,9 +397,9 @@ def test_chunked_grid_scan_matches_whole_grid(
     scheme, lam_p, feasible_only, preset_profile, preset_sensing
 ):
     prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
-    whole = _scan_grid(prob, 0.1, 1e-9, 1e-9, 1e-12, feasible_only)
+    whole = _scan_grid(prob, 0.1, 1e-12, feasible_only)
     for max_chunk in (AUDIT_CHUNK, 1000):
-        x, best, n = _scan_grid(prob, 0.1, 1e-9, 1e-9, 1e-12, feasible_only, max_chunk)
+        x, best, n = _scan_grid(prob, 0.1, 1e-12, feasible_only, max_chunk)
         assert (best, n) == whole[1:]
         assert (x is None) == (whole[0] is None)
         if x is not None:
