@@ -14,7 +14,6 @@ Exit codes: 0 ok, 1 config error, 2 infeasible or unstable operating point,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import math
 import os
@@ -116,8 +115,7 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.slots is not None:
-        cfg.setdefault("sim", {})
-        cfg["sim"] = dict(cfg["sim"], n_slots=args.slots)
+        cfg["sim"] = dict(_mapping(cfg.get("sim", {}), "sim"), n_slots=args.slots)
     if args.out:
         cfg["out"] = args.out
     return cfg
@@ -129,11 +127,16 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _build(cls, section: dict, where: str):
+def _mapping(section, where: str) -> dict:
+    """A config section, which must be a mapping before any field is read."""
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be a mapping")
+    return section
+
+
+def _build(cls, section: dict, where: str):
     try:
-        return cls(**section)
+        return cls(**_mapping(section, where))
     except TypeError as e:
         raise ConfigError(f"bad field in '{where}': {e}") from None
     except ValueError as e:
@@ -155,7 +158,7 @@ def _parse_profile(cfg: dict) -> OutageProfile:
     if not isinstance(section, dict) or len(section) != 1:
         raise ConfigError("'profile' must contain exactly one of: probabilities, physics")
     if "probabilities" in section:
-        probs = dict(section["probabilities"])
+        probs = dict(_mapping(section["probabilities"], "profile.probabilities"))
         if "short_ratio" in probs or "short_ratio_conc" in probs:
             try:
                 kwargs = {
@@ -175,7 +178,7 @@ def _parse_profile(cfg: dict) -> OutageProfile:
                 raise ConfigError(f"invalid value in 'profile.probabilities': {e}") from None
         return _build(OutageProfile, section["probabilities"], "profile.probabilities")
     if "physics" in section:
-        phys = section["physics"]
+        phys = _mapping(section["physics"], "profile.physics")
         primary = _build(LinkBudget, _need(phys, "primary", "profile.physics"), "physics.primary")
         secondary = _build(LinkBudget, _need(phys, "secondary", "profile.physics"), "physics.secondary")
         cross = _build(CrossSnr, _need(phys, "cross", "profile.physics"), "physics.cross")
@@ -191,14 +194,14 @@ def _parse_profile(cfg: dict) -> OutageProfile:
 
 
 def _parse_traffic(cfg: dict) -> TrafficParams:
-    section = dict(_need(cfg, "traffic"))
+    section = dict(_mapping(_need(cfg, "traffic"), "traffic"))
     if "delay_bound" in section and section["delay_bound"] in (None, "inf"):
         section["delay_bound"] = math.inf
     return _build(TrafficParams, section, "traffic")
 
 
 def _parse_policy(cfg: dict, scheme: Scheme) -> PolicyNoFb:
-    section = dict(_need(cfg, "policy"))
+    section = dict(_mapping(_need(cfg, "policy"), "policy"))
     if scheme is Scheme.FEEDBACK:
         return _build(PolicyFb, section, "policy")
     section.pop("p_access_retx", None)
@@ -210,7 +213,7 @@ def _parse_sensing(cfg: dict) -> SensingQuality:
 
 
 def _parse_solver(cfg: dict) -> optimizer.SolverConfig:
-    section = dict(cfg.get("solver", {}))
+    section = dict(_mapping(cfg.get("solver", {}), "solver"))
     section.setdefault("seed", cfg.get("seed", 0))
     return _build(optimizer.SolverConfig, section, "solver")
 
@@ -227,9 +230,7 @@ def _parse_int(value, where: str, minimum: int) -> int:
 
 def _parse_run(cfg: dict) -> tuple[dict, int, int]:
     """(sim section, n_slots, seed) of a simulate/validate config."""
-    sim_cfg = cfg.get("sim", {})
-    if not isinstance(sim_cfg, dict):
-        raise ConfigError("'sim' must be a mapping")
+    sim_cfg = _mapping(cfg.get("sim", {}), "sim")
     n_slots = _parse_int(sim_cfg.get("n_slots", 1_000_000), "sim.n_slots", 1)
     return sim_cfg, n_slots, _parse_int(cfg.get("seed", 0), "seed", 0)
 
@@ -307,7 +308,7 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def _sweep_tasks(cfg: dict):
-    sweep = _need(cfg, "sweep")
+    sweep = _mapping(_need(cfg, "sweep"), "sweep")
     var = _need(sweep, "variable", "sweep")
     grid = _need(sweep, "grid", "sweep")
     if var not in ("lam_p", "lam_e", "delay_bound", "mpr_on"):
@@ -348,12 +349,9 @@ def _sweep_tasks(cfg: dict):
 
 def cmd_sweep(cfg: dict) -> int:
     tasks, solver_cfg = _sweep_tasks(cfg)
-    workers = min(8, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        results = list(pool.map(lambda t: optimizer.solve(t[3], solver_cfg), tasks))
     rows = [
-        _opt_row(scheme, var, value, res)
-        for (var, value, scheme, _), res in zip(tasks, results)
+        _opt_row(scheme, var, value, optimizer.solve(problem, solver_cfg))
+        for var, value, scheme, problem in tasks
     ]
     out = cfg.get("out")
     if out:

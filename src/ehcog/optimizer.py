@@ -19,6 +19,13 @@ brute-force reference used by the acceptance tests.  Both are deterministic
 for a fixed config.  The objective is smooth but nonconvex, hence the
 derivative-free search; dimension is at most 5.
 
+The search is fixed by module constants, not by config: MAX_SWEEPS sweeps
+per start at most, probe steps from INIT_STEP shrinking by SHRINK until a
+start retires below MIN_STEP, an internal audit grid of step AUDIT_STEP,
+and TIE_TOL as the window within which two scores tie (ties go to the
+lexicographically smallest point).  Every grid scan, the audit's and
+grid_oracle()'s, scores GRID_CHUNK points per closed-form batch at most.
+
 The pattern search moves all starts in lockstep: each sweep scores the
 moved probes of every still-active start in one closed-form batch, then
 applies the accept / shrink / retire rules to each start on its own.  The
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,41 +81,49 @@ class OptProblem:
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
 
 
+#: pattern-search sweep budget per start
+MAX_SWEEPS = 500
+#: probe step schedule: first step, shrink factor on a failed sweep, and the
+#: step below which a start retires
+INIT_STEP = 0.25
+SHRINK = 0.5
+MIN_STEP = 1e-6
+#: step of solve()'s internal audit grid, whose best point seeds one start
+AUDIT_STEP = 0.1
+#: score window treated as a tie (broken lexicographically)
+TIE_TOL = 1e-12
+#: most points per closed-form batch of every grid scan.  Scoring a feedback
+#: batch costs about 100-130 ns a point at 2.6k-33k points against 170-200 ns
+#: at 130k-195k, where its temporaries (~180 B a point in all) no longer fit
+#: in cache.  The cap also holds a scan's peak memory near 2 MB at any step.
+GRID_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of solve().  Identical configs give identical results.
+    """The settings of solve().  Identical configs give identical results.
 
     n_starts    number of scrambled-Sobol initial points (>= 32)
-    seed        seed for the Sobol scrambling
-    max_sweeps  pattern-search sweep budget per start
-    init_step / shrink / min_step  probe step schedule
-    audit_step  internal coarse grid whose best point seeds one start
-    tie_tol     throughput window treated as a tie (broken lexicographically)
+    seed        seed for the Sobol scrambling (>= 0)
 
-    The stability margin and the delay slack are not knobs: they are
-    nofeedback.STABILITY_MARGIN and DELAY_SLACK, which analyze() applies too.
+    The search itself is fixed by the module constants MAX_SWEEPS,
+    INIT_STEP, SHRINK, MIN_STEP, AUDIT_STEP and TIE_TOL.  The stability
+    margin and the delay slack are nofeedback.STABILITY_MARGIN and
+    DELAY_SLACK, which analyze() applies too.
     """
 
     n_starts: int = 64
     seed: int = 0
-    max_sweeps: int = 500
-    init_step: float = 0.25
-    shrink: float = 0.5
-    min_step: float = 1e-6
-    audit_step: float = 0.1
-    tie_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("n_starts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_starts < 32:
             raise ValueError("n_starts must be >= 32")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0.0 < self.audit_step <= 0.5:
-            raise ValueError("audit_step must be in (0, 0.5]")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must be in (0, 1)")
-        if not 0.0 < self.min_step <= self.init_step <= 0.5:
-            raise ValueError("need 0 < min_step <= init_step <= 0.5")
 
 
 @dataclass(frozen=True)
@@ -186,12 +201,13 @@ def _grid_values(step: float) -> np.ndarray:
     return vals
 
 
-def _grid_chunks(vals: np.ndarray, d: int, max_chunk: int = 1 << 21):
-    """Yield (prefix_tuple, X) pieces of the full Cartesian grid in
+def _grid_chunks(vals: np.ndarray, d: int):
+    """Yield the full Cartesian grid as (n, d) point arrays of at most
+    GRID_CHUNK rows (or single points when one axis alone exceeds it), in
     lexicographic order.  The trailing dims are vectorised via meshgrid."""
     m = len(vals)
     inner = 0
-    while inner < d and m ** (inner + 1) <= max_chunk:
+    while inner < d and m ** (inner + 1) <= GRID_CHUNK:
         inner += 1
     outer = d - inner
     mesh = np.meshgrid(*([vals] * inner), indexing="ij") if inner else []
@@ -208,21 +224,20 @@ def _grid_chunks(vals: np.ndarray, d: int, max_chunk: int = 1 << 21):
             yield X
 
 
-def _scan_grid(problem, step, tie_tol, feasible_only, max_chunk=1 << 21):
+def _scan_grid(problem, step, feasible_only):
     """Two-pass exhaustive grid scan in lexicographic order.
 
     Pass 1 finds the best score (mu_s over feasible points if feasible_only,
-    else the merit); pass 2 returns the first point scoring within tie_tol
-    of it.  Returns (x or None, best_score, n_evals).  The chunk size only
-    bounds the memory of one closed-form batch: the scores are elementwise
-    and the chunks come in lexicographic order, so the result is the same
-    for every max_chunk.
+    else the merit); pass 2 returns the first point scoring within TIE_TOL
+    of it.  Returns (x or None, best_score, n_evals).  The scores are
+    elementwise and the chunks come in lexicographic order, so the result
+    does not depend on GRID_CHUNK.
     """
     d = _dim(problem.scheme)
     vals = _grid_values(step)
     best = -math.inf
     n_evals = 0
-    for X in _grid_chunks(vals, d, max_chunk):
+    for X in _grid_chunks(vals, d):
         n_evals += X.shape[0]
         if feasible_only:
             mu_s, _, _, _, feas = _evaluate(problem, X)
@@ -232,13 +247,13 @@ def _scan_grid(problem, step, tie_tol, feasible_only, max_chunk=1 << 21):
             best = max(best, float(np.max(_merit(problem, X))))
     if not math.isfinite(best):
         return None, best, n_evals
-    for X in _grid_chunks(vals, d, max_chunk):
+    for X in _grid_chunks(vals, d):
         if feasible_only:
             mu_s, _, _, _, feas = _evaluate(problem, X)
             score = np.where(feas, mu_s, -math.inf)
         else:
             score = _merit(problem, X)
-        hits = np.flatnonzero(score >= best - tie_tol)
+        hits = np.flatnonzero(score >= best - TIE_TOL)
         if hits.size:
             return X[hits[0]].copy(), best, n_evals
     raise AssertionError("second grid pass lost the winner")  # pragma: no cover
@@ -265,7 +280,7 @@ def _finish(problem: OptProblem, x, feasible: bool, meta: SolverMeta) -> OptResu
     )
 
 
-def grid_oracle(problem: OptProblem, step: float, tie_tol: float = 1e-12) -> OptResult:
+def grid_oracle(problem: OptProblem, step: float) -> OptResult:
     """Exhaustive search over the Cartesian policy grid with the given step.
 
     Returns the best feasible grid point (lexicographically smallest among
@@ -274,7 +289,7 @@ def grid_oracle(problem: OptProblem, step: float, tie_tol: float = 1e-12) -> Opt
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
-    x, best, n_evals = _scan_grid(problem, step, tie_tol, True)
+    x, best, n_evals = _scan_grid(problem, step, True)
     meta = SolverMeta(n_starts=0, n_evals=n_evals, best_start=-1)
     return _finish(problem, x, x is not None, meta)
 
@@ -299,7 +314,7 @@ def _directions(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _pattern_search(problem, X0, cfg: SolverConfig):
+def _pattern_search(problem, X0):
     """Generating-set pattern search with box projection, maximising the
     merit from every row of X0 in lockstep.
 
@@ -307,16 +322,16 @@ def _pattern_search(problem, X0, cfg: SolverConfig):
     clip(x + h * dirs) that actually move are scored in one shared _merit
     batch, the best probe (first index among equals) is taken if it beats
     the start's merit by more than 1e-15, otherwise the start's step shrinks
-    and the start retires once the step drops below min_step.  Returns the
+    and the start retires once the step drops below MIN_STEP.  Returns the
     per-start arrays (X, merit, n_evals).  Deterministic.
     """
     X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0)
     M = _merit(problem, X)
     n_evals = np.ones(X.shape[0], dtype=np.int64)
     dirs = _directions(X.shape[1])
-    h = np.full(X.shape[0], cfg.init_step)
+    h = np.full(X.shape[0], INIT_STEP)
     active = np.arange(X.shape[0])
-    for _ in range(cfg.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         x = X[active][:, None, :]
         P = np.clip(x + h[active, None, None] * dirs, 0.0, 1.0)
         keep = np.any(P != x, axis=2)
@@ -329,19 +344,11 @@ def _pattern_search(problem, X0, cfg: SolverConfig):
         up = top > M[active] + 1e-15
         X[active[up]] = P[rows[up], best[up]]
         M[active[up]] = top[up]
-        h[active[~up]] *= cfg.shrink
-        active = active[h[active] >= cfg.min_step]
+        h[active[~up]] *= SHRINK
+        active = active[h[active] >= MIN_STEP]
         if not active.size:
             break
     return X, M, n_evals
-
-
-#: points per closed-form batch of solve()'s audit grid.  The sweep runs
-#: solves on a thread pool; whole-grid batches (161k points and ~29 MB of
-#: temporaries at d = 5) made the process's peak memory depend on whether
-#: two audits happened to overlap.  At 11^4 points an audit peaks near 3 MB
-#: and runs faster; its second pass also stops at the chunk of the winner.
-AUDIT_CHUNK = 1 << 14
 
 
 def _start_points(problem: OptProblem, cfg: SolverConfig):
@@ -350,19 +357,19 @@ def _start_points(problem: OptProblem, cfg: SolverConfig):
     from scipy.stats import qmc  # deferred: the only scipy use, and slow to import
 
     d = _dim(problem.scheme)
-    audit_x, _, audit_evals = _scan_grid(problem, cfg.audit_step, cfg.tie_tol, False, AUDIT_CHUNK)
+    audit_x, _, audit_evals = _scan_grid(problem, AUDIT_STEP, False)
     sobol = qmc.Sobol(d, scramble=True, seed=cfg.seed)
     starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol.random(cfg.n_starts)])
     return starts, audit_evals
 
 
-def _pick(problem: OptProblem, cfg: SolverConfig, X, M, n_evals: int) -> OptResult:
-    """Best start by merit, ties within tie_tol broken lexicographically."""
+def _pick(problem: OptProblem, X, M, n_evals: int) -> OptResult:
+    """Best start by merit, ties within TIE_TOL broken lexicographically."""
     best_m = max(M)
     best_i = -1
     best_x = None
     for i, (m, x) in enumerate(zip(M, X)):
-        if m >= best_m - cfg.tie_tol:
+        if m >= best_m - TIE_TOL:
             if best_x is None or tuple(x) < tuple(best_x):
                 best_i, best_x = i, x
     meta = SolverMeta(n_starts=len(X), n_evals=n_evals, best_start=best_i)
@@ -385,5 +392,5 @@ def solve(problem: OptProblem, config: SolverConfig | None = None) -> OptResult:
     """
     cfg = config or SolverConfig()
     starts, audit_evals = _start_points(problem, cfg)
-    X, M, used = _pattern_search(problem, starts, cfg)
-    return _pick(problem, cfg, X, M, audit_evals + int(used.sum()))
+    X, M, used = _pattern_search(problem, starts)
+    return _pick(problem, X, M, audit_evals + int(used.sum()))

@@ -301,9 +301,22 @@ PHYSICS_CONFIG = {
         (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.1, 1.5]}}),
         (["analyze"], PHYSICS_CONFIG),
         (["optimize", "--preset", "fig4", "--seed", "-1"], None),
+        (["analyze", "--preset", "fig4"], {"traffic": 5}),
+        (["optimize", "--preset", "fig4"], {"solver": 3}),
+        (["analyze", "--preset", "fig4"], {"policy": [1, 2]}),
+        (["analyze", "--preset", "fig4"], {"profile": {"probabilities": 7}}),
+        (["sweep", "--preset", "fig4"], {"sweep": 4}),
+        (["simulate", "--preset", "fig4", "--slots", "10"], {"sim": 5}),
+        (["optimize", "--preset", "fig4"], {"solver": {"n_starts": 40.5}}),
+        (["optimize", "--preset", "fig4"], {"solver": {"seed": 1.5}}),
+        (["optimize", "--preset", "fig4"], {"seed": 2.5}),
+        (["optimize", "--preset", "fig4"], {"solver": {"max_sweeps": 0}}),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
-         "power-mode-bogus", "optimize-seed-negative"],
+         "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
+         "solver-not-a-mapping", "policy-not-a-mapping", "probabilities-not-a-mapping",
+         "sweep-not-a-mapping", "sim-not-a-mapping", "n-starts-not-an-integer",
+         "solver-seed-not-an-integer", "seed-not-an-integer", "max-sweeps-not-a-field"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config):
     if config is not None:

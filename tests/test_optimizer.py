@@ -20,10 +20,10 @@ from ehcog import (
 )
 from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
+from ehcog import optimizer
 from ehcog.cli import _sweep_tasks
 from ehcog.nofeedback import DELAY_SLACK
 from ehcog.optimizer import (
-    AUDIT_CHUNK,
     VAR_NAMES,
     _directions,
     _pattern_search,
@@ -238,13 +238,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_starts=8)
     with pytest.raises(ValueError):
-        SolverConfig(audit_step=0.7)
-    with pytest.raises(ValueError):
-        SolverConfig(shrink=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(init_step=0.8)
-    with pytest.raises(ValueError):
         SolverConfig(seed=-1)
+    for bad in ({"n_starts": 40.5}, {"n_starts": True}, {"seed": 1.5}, {"seed": "0"}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 def test_grid_oracle_validates_step(preset_profile, preset_sensing):
@@ -355,33 +352,35 @@ def test_batched_closed_forms_match_scalar_analyze_bitwise(scheme, lam_p):
 
 
 @pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
-@pytest.mark.parametrize(
-    "cfg", [SolverConfig(), SolverConfig(max_sweeps=3)], ids=["full", "capped"]
-)
+@pytest.mark.parametrize("max_sweeps", [None, 3], ids=["full", "capped"])
 @pytest.mark.parametrize("lam_p", [0.0, 0.126, 0.3, 0.65])
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_lockstep_solve_matches_per_start_oracle(
-    scheme, lam_p, cfg, preset_profile, preset_sensing
+    scheme, lam_p, max_sweeps, preset_profile, preset_sensing, monkeypatch
 ):
+    if max_sweeps is not None:
+        monkeypatch.setattr(optimizer, "MAX_SWEEPS", max_sweeps)
     prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
+    cfg = SolverConfig()
     assert solve(prob, cfg) == solve_per_start(prob, cfg)
 
 
-def test_lockstep_search_tracks_every_start(preset_profile, preset_sensing):
+def test_lockstep_search_tracks_every_start(preset_profile, preset_sensing, monkeypatch):
     prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
-    capped = SolverConfig(n_starts=32, max_sweeps=3)
     starts, _ = _start_points(prob, FAST)
+    full = optimizer.MAX_SWEEPS
     runs = {}
-    for cfg in (FAST, capped):
-        X, M, used = _pattern_search(prob, starts, cfg)
+    for max_sweeps in (full, 3):
+        monkeypatch.setattr(optimizer, "MAX_SWEEPS", max_sweeps)
+        X, M, used = _pattern_search(prob, starts)
         for x0, x, m, n in zip(starts, X, M, used):
-            ref_x, ref_m, ref_n = pattern_search_one(prob, x0, cfg)
+            ref_x, ref_m, ref_n = pattern_search_one(prob, x0)
             assert x.tolist() == ref_x.tolist()
             assert m == ref_m and n == ref_n
-        runs[cfg.max_sweeps] = used
+        runs[max_sweeps] = used
     # three sweeps stop every start before its step schedule runs out
     assert np.all(runs[3] <= 1 + 3 * len(_directions(5)))
-    assert np.all(runs[3] < runs[FAST.max_sweeps])
+    assert np.all(runs[3] < runs[full])
 
 
 @settings(max_examples=25, deadline=None)
@@ -394,27 +393,39 @@ def test_lockstep_solve_matches_oracle_on_random_problems(prob):
 @pytest.mark.parametrize("lam_p", [0.0, 0.126, 0.65])
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_chunked_grid_scan_matches_whole_grid(
-    scheme, lam_p, feasible_only, preset_profile, preset_sensing
+    scheme, lam_p, feasible_only, preset_profile, preset_sensing, monkeypatch
 ):
     prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
-    whole = _scan_grid(prob, 0.1, 1e-12, feasible_only)
-    for max_chunk in (AUDIT_CHUNK, 1000):
-        x, best, n = _scan_grid(prob, 0.1, 1e-12, feasible_only, max_chunk)
+    scans = []
+    for chunk in (11 ** len(VAR_NAMES[scheme]), optimizer.GRID_CHUNK, 1000):
+        monkeypatch.setattr(optimizer, "GRID_CHUNK", chunk)
+        scans.append(_scan_grid(prob, 0.1, feasible_only))
+    whole = scans[0]
+    for x, best, n in scans[1:]:
         assert (best, n) == whole[1:]
         assert (x is None) == (whole[0] is None)
         if x is not None:
             assert x.tolist() == whole[0].tolist()
 
 
-def test_audit_grid_memory_is_bounded(preset_profile, preset_sensing):
-    # solves run on the sweep's thread pool, so each audit's temporaries
-    # add up whenever two audits overlap; the whole 11^5 grid took ~29 MB
-    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
-    _start_points(prob, FAST)
+def traced_peak(fn, *args) -> int:
+    """Peak traced memory in bytes of one call, after a warm-up call."""
+    fn(*args)
     tracemalloc.start()
     try:
-        _start_points(prob, FAST)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_audit_grid_memory_is_bounded(preset_profile, preset_sensing):
+    # scored as one batch, the whole 11^5 audit grid took ~29 MB
+    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
+    assert traced_peak(_start_points, prob, FAST) < 8 * 2**20
+
+
+def test_grid_oracle_memory_is_bounded(preset_profile, preset_sensing):
+    # in 21^4-point batches, the 21^5 grid at step 0.05 took ~40 MB
+    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
+    assert traced_peak(grid_oracle, prob, 0.05) < 8 * 2**20
