@@ -219,13 +219,13 @@ def _parse_solver(cfg: dict) -> optimizer.SolverConfig:
 
 
 def _parse_int(value, where: str, minimum: int) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{where}' must be an integer, got {value!r}") from None
-    if out < minimum:
-        raise ConfigError(f"'{where}' must be >= {minimum}, got {out}")
-    return out
+    """value if it is an int >= minimum.  Floats and bools are refused, as
+    SolverConfig refuses them, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"'{where}' must be >= {minimum}, got {value}")
+    return value
 
 
 def _parse_run(cfg: dict) -> tuple[dict, int, int]:

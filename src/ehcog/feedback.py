@@ -146,10 +146,11 @@ def closed_forms(
     """The queue-level closed forms of the retransmission-aware scheme.  This
     is the only place they are written.
 
-    lam_p is a scalar; the other inputs may be arrays of one shape.  Only
-    elementwise IEEE operations, so each entry of a batch has the same bits
-    as its point evaluated alone.  Scalar inputs give numpy scalars.  Where
-    lam_p >= eta the divisions give inf or nan instead of raising.
+    lam_p is a scalar; the other inputs may be arrays of broadcastable
+    shapes.  Only elementwise IEEE operations, so each entry of a batch has
+    the same bits as its point evaluated alone.  Scalar inputs give numpy
+    scalars.  Where lam_p >= eta the divisions give inf or nan instead of
+    raising.
     """
     alpha = np.asarray(alpha, dtype=float)
     gamma = np.asarray(gamma, dtype=float)

@@ -11,7 +11,8 @@ with Bernoulli arrivals (arrivals join at the end of their slot and cannot
 leave in it) and an i.i.d. per-slot success probability mu_p.
 
 All rate expressions below are plain numpy arithmetic, so policy fields may
-be numpy arrays; every public function then returns arrays of the same shape.
+be numpy arrays of broadcastable shapes; every public function then returns
+arrays of their broadcast shape.
 closed_forms() is the one place the queue-level formulas are written; the
 functions here, analyze, the optimizer and the simulator checks read them
 from it, through operating_point() when they start from a policy.
@@ -166,9 +167,10 @@ def closed_forms(
     """The queue-level closed forms of the sensing-only scheme.  This is the
     only place they are written.
 
-    Only elementwise IEEE operations, so each entry of a batch has the same
-    bits as its point evaluated alone.  Scalar inputs give numpy scalars.
-    Where lam_p >= mu_p the divisions give inf or nan instead of raising.
+    The inputs may be arrays of broadcastable shapes.  Only elementwise
+    IEEE operations, so each entry of a batch has the same bits as its point
+    evaluated alone.  Scalar inputs give numpy scalars.  Where lam_p >= mu_p
+    the divisions give inf or nan instead of raising.
     """
     mu_p = np.asarray(mu_p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

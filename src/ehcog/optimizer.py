@@ -26,6 +26,16 @@ and TIE_TOL as the window within which two scores tie (ties go to the
 lexicographically smallest point).  Every grid scan, the audit's and
 grid_oracle()'s, scores GRID_CHUNK points per closed-form batch at most.
 
+A grid scan makes one scoring pass, recording each chunk's best score, and
+then re-scores the one chunk that holds the winner: the first within
+TIE_TOL of the overall best.  A chunk is never spelled out as a point
+matrix: its outer coordinates are scalars and its inner ones broadcast
+axes, so alpha, idle and busy are computed once per (p_sense, ...,
+p_access_direct) and broadcast over p_access_retx.  The bits do not change:
+every point's score still comes from the same elementwise IEEE operations
+on the same operands, and the score read in C order lists the points
+lexicographically, as the tie-break needs.
+
 The pattern search moves all starts in lockstep: each sweep scores the
 moved probes of every still-active start in one closed-form batch, then
 applies the accept / shrink / retire rules to each start on its own.  The
@@ -161,27 +171,30 @@ def _vector_from_policy(scheme: Scheme, policy: PolicyNoFb) -> np.ndarray:
     return np.array([getattr(policy, name) for name in VAR_NAMES[scheme]])
 
 
-def _evaluate(problem: OptProblem, X: np.ndarray):
+def _evaluate(problem: OptProblem, cols):
     """Vectorised constraint/objective evaluation: a thin call into the
     scheme's closed forms, the same ones analyze() reads.
 
-    X has shape (n, d).  Returns (mu_s, mu_eff, delay, stable, feasible)
-    arrays of length n, where mu_eff is the service rate the stability
-    constraint compares against.  Entries of mu_s and delay at unstable
-    points are unreliable and must be read through the masks.
+    cols is a sequence of d broadcastable policy columns in VAR_NAMES order:
+    the rows of X.T for an (n, d) point matrix X, or a grid chunk's scalars
+    and open-grid axes.  Returns (mu_s, mu_eff, delay, stable, feasible)
+    arrays of the broadcast shape, where mu_eff is the service rate the
+    stability constraint compares against.  Entries of mu_s and delay at
+    unstable points are unreliable and must be read through the masks.
     """
     mod = feedback if problem.scheme is Scheme.FEEDBACK else nofeedback
-    pol = _policy_from_vector(problem.scheme, X.T)
+    pol = _policy_from_vector(problem.scheme, cols)
     point = mod.operating_point(problem.profile, pol, problem.sensing, problem.traffic)
     return point.mu_s, point.mu_eff, point.delay, point.stable, point.feasible
 
 
-def _merit(problem: OptProblem, X: np.ndarray):
-    """Tiered score: feasible -> mu_s (>= 0); stable but delay-violating ->
-    (-2, -1]; unstable -> (-3, -2].  Higher is better in every tier."""
+def _merit(problem: OptProblem, cols):
+    """Tiered score of the policy columns cols (as for _evaluate): feasible
+    -> mu_s (>= 0); stable but delay-violating -> (-2, -1]; unstable ->
+    (-3, -2].  Higher is better in every tier."""
     lam_p = problem.traffic.lam_p
     d_bound = problem.traffic.delay_bound
-    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, X)
+    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, cols)
     with np.errstate(invalid="ignore", over="ignore"):
         excess = np.maximum(delay - d_bound, 0.0)
         delay_score = -1.0 - excess / (1.0 + excess)
@@ -202,61 +215,62 @@ def _grid_values(step: float) -> np.ndarray:
 
 
 def _grid_chunks(vals: np.ndarray, d: int):
-    """Yield the full Cartesian grid as (n, d) point arrays of at most
-    GRID_CHUNK rows (or single points when one axis alone exceeds it), in
-    lexicographic order.  The trailing dims are vectorised via meshgrid."""
+    """Yield the full Cartesian grid in lexicographic order, in chunks of at
+    most GRID_CHUNK points (or single points when one axis alone exceeds
+    it).  A chunk is its d policy columns: the outer prefix as scalars, then
+    the inner axes as an open grid (np.ix_), whose broadcast shape, read in
+    C order, lists the chunk's points lexicographically."""
     m = len(vals)
     inner = 0
     while inner < d and m ** (inner + 1) <= GRID_CHUNK:
         inner += 1
-    outer = d - inner
-    mesh = np.meshgrid(*([vals] * inner), indexing="ij") if inner else []
-    tail = np.column_stack([g.ravel(order="C") for g in mesh]) if inner else None
-    for prefix in itertools.product(vals, repeat=outer):
-        if inner == 0:
-            yield np.array(prefix)[None, :]
-        elif outer == 0:
-            yield tail
-        else:
-            X = np.empty((tail.shape[0], d))
-            X[:, :outer] = prefix
-            X[:, outer:] = tail
-            yield X
+    axes = np.ix_(*[vals] * inner)
+    for prefix in itertools.product(vals, repeat=d - inner):
+        yield (*prefix, *axes)
+
+
+def _grid_score(problem, cols, feasible_only):
+    """Score of a grid chunk: mu_s at feasible points and -inf elsewhere if
+    feasible_only, else the merit."""
+    if feasible_only:
+        mu_s, _, _, _, feas = _evaluate(problem, cols)
+        return np.where(feas, mu_s, -math.inf)
+    return _merit(problem, cols)
 
 
 def _scan_grid(problem, step, feasible_only):
-    """Two-pass exhaustive grid scan in lexicographic order.
+    """Exhaustive grid scan: one scoring pass plus one re-scored chunk.
 
-    Pass 1 finds the best score (mu_s over feasible points if feasible_only,
-    else the merit); pass 2 returns the first point scoring within TIE_TOL
-    of it.  Returns (x or None, best_score, n_evals).  The scores are
+    The pass records each chunk's best score (mu_s over feasible points if
+    feasible_only, else the merit).  The first chunk within TIE_TOL of the
+    overall best is scored again and its first point within TIE_TOL, in
+    lexicographic order, is the winner.  Returns (x or None, best_score,
+    n_evals), n_evals counting every grid point once.
+
+    Each chunk is scored over broadcast axes, so a quantity is computed only
+    over the axes it depends on (alpha, idle and busy not over
+    p_access_retx).  That changes no bits: every point's score still comes
+    from the same elementwise IEEE operations on the same operands as when
+    its coordinates are spelled out in a point matrix.  The scores are
     elementwise and the chunks come in lexicographic order, so the result
-    does not depend on GRID_CHUNK.
+    does not depend on GRID_CHUNK either.
     """
     d = _dim(problem.scheme)
     vals = _grid_values(step)
-    best = -math.inf
-    n_evals = 0
-    for X in _grid_chunks(vals, d):
-        n_evals += X.shape[0]
-        if feasible_only:
-            mu_s, _, _, _, feas = _evaluate(problem, X)
-            if np.any(feas):
-                best = max(best, float(np.max(mu_s[feas])))
-        else:
-            best = max(best, float(np.max(_merit(problem, X))))
+    n_evals = len(vals) ** d
+    chunk_best = np.fromiter(
+        (np.max(_grid_score(problem, cols, feasible_only)) for cols in _grid_chunks(vals, d)),
+        dtype=float,
+    )
+    best = float(np.max(chunk_best))
     if not math.isfinite(best):
         return None, best, n_evals
-    for X in _grid_chunks(vals, d):
-        if feasible_only:
-            mu_s, _, _, _, feas = _evaluate(problem, X)
-            score = np.where(feas, mu_s, -math.inf)
-        else:
-            score = _merit(problem, X)
-        hits = np.flatnonzero(score >= best - TIE_TOL)
-        if hits.size:
-            return X[hits[0]].copy(), best, n_evals
-    raise AssertionError("second grid pass lost the winner")  # pragma: no cover
+    k = int(np.argmax(chunk_best >= best - TIE_TOL))
+    cols = next(itertools.islice(_grid_chunks(vals, d), k, None))
+    shape = np.broadcast_shapes(*map(np.shape, cols))
+    score = np.broadcast_to(_grid_score(problem, cols, feasible_only), shape).ravel()
+    hit = int(np.argmax(score >= best - TIE_TOL))
+    return np.array([np.broadcast_to(c, shape).flat[hit] for c in cols]), best, n_evals
 
 
 def _finish(problem: OptProblem, x, feasible: bool, meta: SolverMeta) -> OptResult:
@@ -326,7 +340,7 @@ def _pattern_search(problem, X0):
     per-start arrays (X, merit, n_evals).  Deterministic.
     """
     X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0)
-    M = _merit(problem, X)
+    M = _merit(problem, X.T)
     n_evals = np.ones(X.shape[0], dtype=np.int64)
     dirs = _directions(X.shape[1])
     h = np.full(X.shape[0], INIT_STEP)
@@ -336,7 +350,7 @@ def _pattern_search(problem, X0):
         P = np.clip(x + h[active, None, None] * dirs, 0.0, 1.0)
         keep = np.any(P != x, axis=2)
         scores = np.full(keep.shape, -math.inf)
-        scores[keep] = _merit(problem, P[keep])
+        scores[keep] = _merit(problem, P[keep].T)
         n_evals[active] += keep.sum(axis=1)
         rows = np.arange(active.size)
         best = np.argmax(scores, axis=1)

@@ -6,6 +6,9 @@ summation), deliberately avoiding the closed forms under test.
 """
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -157,7 +160,7 @@ def pattern_search_one(problem, x0):
     from ehcog import optimizer
 
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    m = float(optimizer._merit(problem, x[None, :])[0])
+    m = float(optimizer._merit(problem, x[:, None])[0])
     n_evals = 1
     dirs = optimizer._directions(x.size)
     h = optimizer.INIT_STEP
@@ -165,7 +168,7 @@ def pattern_search_one(problem, x0):
         P = np.clip(x + h * dirs, 0.0, 1.0)
         keep = np.any(P != x, axis=1)
         P = P[keep]
-        scores = optimizer._merit(problem, P)
+        scores = optimizer._merit(problem, P.T)
         n_evals += P.shape[0]
         i = int(np.argmax(scores))
         if scores[i] > m + 1e-15:
@@ -175,6 +178,65 @@ def pattern_search_one(problem, x0):
             if h < optimizer.MIN_STEP:
                 break
     return x, m, n_evals
+
+
+def _grid_points(vals, d, chunk):
+    """The Cartesian grid as (n, d) point matrices of at most chunk rows (or
+    single points when one axis alone exceeds it), in lexicographic order."""
+    m = len(vals)
+    inner = 0
+    while inner < d and m ** (inner + 1) <= chunk:
+        inner += 1
+    outer = d - inner
+    mesh = np.meshgrid(*([vals] * inner), indexing="ij") if inner else []
+    tail = np.column_stack([g.ravel(order="C") for g in mesh]) if inner else None
+    for prefix in itertools.product(vals, repeat=outer):
+        if inner == 0:
+            yield np.array(prefix)[None, :]
+        elif outer == 0:
+            yield tail
+        else:
+            X = np.empty((tail.shape[0], d))
+            X[:, :outer] = prefix
+            X[:, outer:] = tail
+            yield X
+
+
+def scan_grid_points(problem, step, feasible_only):
+    """Two-pass grid scan over materialised (n, d) point matrices: the
+    reference for the broadcast one-pass scan in ehcog.optimizer, with
+    GRID_CHUNK and TIE_TOL read from that module at call time.
+
+    Pass 1 finds the best score (mu_s over feasible points if feasible_only,
+    else the merit); pass 2 returns the first point in lexicographic order
+    scoring within TIE_TOL of it.  Returns (x or None, best, n_evals).
+    """
+    from ehcog import optimizer
+
+    d = optimizer._dim(problem.scheme)
+    vals = optimizer._grid_values(step)
+    best = -math.inf
+    n_evals = 0
+    for X in _grid_points(vals, d, optimizer.GRID_CHUNK):
+        n_evals += X.shape[0]
+        if feasible_only:
+            mu_s, _, _, _, feas = optimizer._evaluate(problem, X.T)
+            if np.any(feas):
+                best = max(best, float(np.max(mu_s[feas])))
+        else:
+            best = max(best, float(np.max(optimizer._merit(problem, X.T))))
+    if not math.isfinite(best):
+        return None, best, n_evals
+    for X in _grid_points(vals, d, optimizer.GRID_CHUNK):
+        if feasible_only:
+            mu_s, _, _, _, feas = optimizer._evaluate(problem, X.T)
+            score = np.where(feas, mu_s, -math.inf)
+        else:
+            score = optimizer._merit(problem, X.T)
+        hits = np.flatnonzero(score >= best - optimizer.TIE_TOL)
+        if hits.size:
+            return X[hits[0]].copy(), best, n_evals
+    raise AssertionError("second grid pass lost the winner")
 
 
 def solve_per_start(problem, cfg):

@@ -311,12 +311,16 @@ PHYSICS_CONFIG = {
         (["optimize", "--preset", "fig4"], {"solver": {"seed": 1.5}}),
         (["optimize", "--preset", "fig4"], {"seed": 2.5}),
         (["optimize", "--preset", "fig4"], {"solver": {"max_sweeps": 0}}),
+        (["simulate", "--preset", "fig4"], {"sim": {"n_slots": 1000.7}}),
+        (["simulate", "--preset", "fig4", "--slots", "10"], {"seed": 2.5}),
+        (["validate", "--preset", "fig4", "--slots", "10"], {"seed": True}),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
          "solver-not-a-mapping", "policy-not-a-mapping", "probabilities-not-a-mapping",
          "sweep-not-a-mapping", "sim-not-a-mapping", "n-starts-not-an-integer",
-         "solver-seed-not-an-integer", "seed-not-an-integer", "max-sweeps-not-a-field"],
+         "solver-seed-not-an-integer", "seed-not-an-integer", "max-sweeps-not-a-field",
+         "n-slots-not-an-integer", "simulate-seed-not-an-integer", "validate-seed-a-bool"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config):
     if config is not None:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ehcog import (
     OptProblem,
@@ -26,6 +26,8 @@ from ehcog.nofeedback import DELAY_SLACK
 from ehcog.optimizer import (
     VAR_NAMES,
     _directions,
+    _grid_chunks,
+    _grid_values,
     _pattern_search,
     _policy_from_vector,
     _scan_grid,
@@ -33,7 +35,7 @@ from ehcog.optimizer import (
     _vector_from_policy,
 )
 from ehcog.presets import get_preset
-from oracles import pattern_search_one, solve_per_start
+from oracles import pattern_search_one, scan_grid_points, solve_per_start
 
 
 def make_problem(preset_profile, preset_sensing, scheme, lam_p, bound, lam_e=0.8):
@@ -272,15 +274,20 @@ def test_result_type(preset_profile, preset_sensing):
     assert isinstance(solve(prob, FAST), OptResult)
 
 
+#: lam_p = 0 on a perfect primary link puts eta = gamma = 1 near the silent
+#: policy, where the retransmission-aware delay formula is 0/0
+ETA_ONE = OptProblem(
+    Scheme.FEEDBACK,
+    OutageProfile(1.0, 0.2, 0.6, 0.5, 0.3, 0.2),
+    SensingQuality(0.1, 0.08),
+    TrafficParams(0.0, 1.0, 0.8, 1.0),
+)
+
+
 def test_solve_and_analyze_agree_at_eta_one():
-    # lam_p = 0 on a perfect primary link puts eta = gamma = 1 near the
-    # silent policy, where the retransmission-aware delay formula is 0/0
-    profile = OutageProfile(1.0, 0.2, 0.6, 0.5, 0.3, 0.2)
-    sensing = SensingQuality(0.1, 0.08)
-    traffic = TrafficParams(0.0, 1.0, 0.8, 1.0)
-    prob = OptProblem(Scheme.FEEDBACK, profile, sensing, traffic)
+    prob = ETA_ONE
     for res in (solve(prob, SolverConfig()), grid_oracle(prob, step=0.1)):
-        rep = fb.analyze(profile, res.policy, sensing, traffic)
+        rep = fb.analyze(prob.profile, res.policy, prob.sensing, prob.traffic)
         assert res.feasible and rep.delay_feasible
         assert same_bits(res.mu_s, rep.mu_s) and same_bits(res.delay, rep.delay)
 
@@ -406,6 +413,42 @@ def test_chunked_grid_scan_matches_whole_grid(
         assert (x is None) == (whole[0] is None)
         if x is not None:
             assert x.tolist() == whole[0].tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(prob=random_problems)
+@example(prob=ETA_ONE)
+def test_broadcast_grid_scan_matches_point_matrix_oracle(prob):
+    # step 0.3 leaves a short last cell: the axis is 0, 0.3, 0.6, 0.9, 1
+    for step in (0.1, 0.25, 0.3):
+        for feasible_only in (False, True):
+            x, best, n = _scan_grid(prob, step, feasible_only)
+            ref_x, ref_best, ref_n = scan_grid_points(prob, step, feasible_only)
+            assert same_bits(best, ref_best) and n == ref_n
+            assert (x is None) == (ref_x is None)
+            if x is not None:
+                assert x.tobytes() == ref_x.tobytes()
+
+
+def test_grid_oracle_rescores_only_the_winning_chunk(
+    preset_profile, preset_sensing, monkeypatch
+):
+    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
+    calls = []
+    scored = fb.operating_point
+
+    def counted(*args):
+        calls.append(args)
+        return scored(*args)
+
+    monkeypatch.setattr(fb, "operating_point", counted)
+    res = grid_oracle(prob, 0.05)
+    n_chunks = sum(1 for _ in _grid_chunks(_grid_values(0.05), 5))
+    # the winner sits past the first chunk, so a scan that re-scores every
+    # chunk up to the winner would call the closed forms more often
+    assert res.policy.p_sense > 0.0
+    # one scoring pass, the winning chunk again, and _finish's analyze()
+    assert len(calls) == n_chunks + 1 + 1
 
 
 def traced_peak(fn, *args) -> int:
