@@ -197,22 +197,25 @@ def operating_point(
 
 
 def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
-    """Per-level masses (pi, eps) of a stable chain for queue lengths
-    0..k_max, from its aggregates eta and pi0."""
-    pi = np.zeros(k_max + 1)
-    eps = np.zeros(k_max + 1)
-    pi[0] = pi0
+    """Per-level masses (pi, eps) of stable chains for queue lengths
+    0..k_max, from their aggregates eta and pi0.  alpha, gamma, eta and pi0
+    may be 1-d arrays over points, which become the leading axis of pi and
+    eps."""
+    pi = np.zeros(np.shape(pi0) + (k_max + 1,))
+    eps = np.zeros_like(pi)
+    pi[..., 0] = pi0
+    alpha, gamma, eta, pi0 = (np.asarray(v)[..., None] for v in (alpha, gamma, eta, pi0))
     if k_max >= 1:
-        pi[1] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
-        eps[1] = pi0 * (lam_p / eta) * (1.0 - alpha)
+        pi[..., 1:2] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
+        eps[..., 1:2] = pi0 * (lam_p / eta) * (1.0 - alpha)
     if k_max >= 2:
         k = np.arange(2, k_max + 1)
         # geometric levels: ratio rho = lam_p (1-eta) / ((1-lam_p) eta),
         # factored as r^k (1-eta)^(k-2) so eta = 1 stays finite
         r = lam_p / ((1.0 - lam_p) * eta)
         shape = r**k * (1.0 - eta) ** (k - 2)
-        pi[2:] = pi0 * lam_p * (1.0 - alpha) * shape
-        eps[2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
+        pi[..., 2:] = pi0 * lam_p * (1.0 - alpha) * shape
+        eps[..., 2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
     return pi, eps
 
 
@@ -223,12 +226,8 @@ def _degenerate_delay(lam_p: float, alpha, gamma, eta, pi0):
     precision.  The inputs are 1-d arrays of the affected points."""
     if lam_p == 0.0:
         return 1.0 + (1.0 - alpha) / gamma
-
-    def series(a, g, e, p0):
-        pi, eps = _levels(lam_p, a, g, e, p0, 64)
-        return np.sum(np.arange(len(pi)) * (pi + eps)) / lam_p
-
-    return np.vectorize(series, otypes=[float])(alpha, gamma, eta, pi0)
+    pi, eps = _levels(lam_p, alpha, gamma, eta, pi0, 64)
+    return np.sum(np.arange(pi.shape[-1]) * (pi + eps), axis=-1) / lam_p
 
 
 def _check_chain_inputs(alpha, gamma, lam_p) -> None:

@@ -30,12 +30,22 @@ Semantics variants:
 Randomness comes from one Philox substream per decision category, all drawn
 up front, so runs with the same seed see identical inputs in both semantics
 (common random numbers) and results are reproducible bit for bit.
+
+Statistics: every draw is turned into per-slot flags before the slot loop,
+including the secondary's outcome in each state it can find (primary on,
+primary off, retransmission slot).  The loop then carries only the queue
+lengths, the battery and the NACK flag, and writes one record byte per slot.
+Every statistic is computed afterwards from that record with numpy: queue
+lengths from cumulative sums, delays by matching the k-th departure with
+the k-th arrival (the queue is FIFO), and batch and decile sums with
+np.add.reduceat.  Each sum is a float sum of integers below 2**53, which is
+exact in any order, so the figures carry the same bits as sums made slot by
+slot.
 """
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +139,23 @@ def _batch_mean_ci(values, weights) -> tuple[float, float]:
     return est, half
 
 
+def _length_at_start(joins, leaves):
+    """Queue length at the start of each slot from its per-slot 0/1 joins
+    and departures; a join counts from the next slot on."""
+    q = np.zeros(joins.size, np.int64)
+    np.cumsum(np.subtract(joins[:-1], leaves[:-1], dtype=np.int8), dtype=np.int64, out=q[1:])
+    return q
+
+
+def _segment_sums(x, bounds):
+    """Sums of x over the slots [bounds[i], bounds[i + 1]), 0 where empty.
+    Float sums of integers below 2**53 are exact in any order."""
+    sums = np.zeros(len(bounds) - 1)
+    full = np.diff(bounds) > 0
+    sums[full] = np.add.reduceat(x, bounds[:-1][full], dtype=float)
+    return sums
+
+
 def run(
     scheme: Scheme,
     policy: PolicyNoFb,
@@ -149,157 +176,130 @@ def run(
         raise ValueError("feedback scheme needs a PolicyFb")
     backlogged = semantics is SimSemantics.BACKLOGGED
 
-    streams = np.random.SeedSequence(seed).spawn(len(STREAMS))
-    u = {
-        name: np.random.Generator(np.random.Philox(s)).random(n_slots)
-        for name, s in zip(STREAMS, streams)
+    gens = {
+        name: np.random.Generator(np.random.Philox(s))
+        for name, s in zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS)))
     }
-    arr_p = u["arrival_p"] < traffic.lam_p
-    arr_s = u["arrival_s"] < traffic.lam_s
-    arr_e = u["arrival_e"] < traffic.lam_e
-    do_sense = u["sense"] < policy.p_sense
-    u_out, u_acc = u["sense_outcome"], u["access"]
-    u_ss, u_sp = u["success_s"], u["success_p"]
 
-    ps_full, ps_short = profile.p_sec_full, profile.p_sec_short
-    ps_full_c, ps_short_c = profile.p_sec_full_conc, profile.p_sec_short_conc
-    pp, pp_c = profile.p_primary, profile.p_primary_conc
-    pf, pb, pt = policy.p_access_free, policy.p_access_busy, policy.p_access_direct
+    def below(name, *thresholds):
+        # pop: a second draw would continue the stream, not repeat it
+        u = gens.pop(name).random(n_slots)
+        return [u < x for x in thresholds]
+
     pr = policy.p_access_retx if use_feedback else 0.0
-    pfa, pmd = sensing.p_false_alarm, sensing.p_missed_detection
+    (arr_p,) = below("arrival_p", traffic.lam_p)
+    (arr_s,) = below("arrival_s", traffic.lam_s)
+    (arr_e,) = below("arrival_e", traffic.lam_e)
+    (sense,) = below("sense", policy.p_sense)
+    busy_on, busy_off = below(
+        "sense_outcome", 1.0 - sensing.p_missed_detection, sensing.p_false_alarm
+    )
+    free, busy, direct, retx = below(
+        "access", policy.p_access_free, policy.p_access_busy, policy.p_access_direct, pr
+    )
+    full, short, full_c, short_c = below(
+        "success_s",
+        profile.p_sec_full,
+        profile.p_sec_short,
+        profile.p_sec_full_conc,
+        profile.p_sec_short_conc,
+    )
+    win, win_c = below("success_p", profile.p_primary, profile.p_primary_conc)
 
-    B = min(N_BATCHES, n_slots)
-    zeros = lambda: [0.0] * B
-    slots_b = zeros()
-    qp_sum_b, qs_sum_b = zeros(), zeros()
-    empty_b, retx_b = zeros(), zeros()
-    succ_p_b, att_p_b = zeros(), zeros()
-    succ_s_b = zeros()
-    consumed_b, energized_b = zeros(), zeros()
-    delay_sum_b, departed_b = zeros(), zeros()
-    arrivals_b = zeros()
-    dec_sum, dec_n = [0.0] * 10, [0] * 10
-    sense_counts = {
-        "slots_sensed_busy_primary_on": 0,
-        "slots_sensed_primary_on": 0,
-        "slots_sensed_busy_primary_off": 0,
-        "slots_sensed_primary_off": 0,
-    }
+    def outcome(tx, success):  # 0 silent, 1 sent and lost, 2 delivered
+        return np.add(tx, tx & success, dtype=np.uint8)
 
-    qp: deque[int] = deque()  # arrival slot of each queued primary packet
-    qs = 0
-    qe = 0
-    prev_nack = False
+    out_on = outcome(
+        np.where(sense, np.where(busy_on, busy, free), direct), np.where(sense, short_c, full_c)
+    )
+    out_off = outcome(
+        np.where(sense, np.where(busy_off, busy, free), direct), np.where(sense, short, full)
+    )
+    out_rx = outcome(retx, full_c) if use_feedback else out_on
+    del free, busy, direct, retx, full, short, full_c, short_c
 
-    for t in range(n_slots):
-        b = t * B // n_slots
-        d = t * 10 // n_slots
-        qlen = len(qp)
-        primary_on = qlen > 0
-        slots_b[b] += 1
-        qp_sum_b[b] += qlen
-        qs_sum_b[b] += qs
-        dec_sum[d] += qlen
-        dec_n[d] += 1
-        if not primary_on:
-            empty_b[b] += 1
-        retx_slot = use_feedback and prev_nack
-        if retx_slot:
-            retx_b[b] += 1
+    # The loop carries only the queue state.  It reads each slot's inputs as
+    # bytes and writes one record byte per slot: battery nonempty, secondary
+    # outcome << 1, primary departure << 3 and data packet served << 4.
+    q = qs = qe = 0
+    nack = False
+    record = bytearray()
+    put = record.append
+    for ap, as_, ae, on, off, rx, w, w_c in zip(
+        *(x.tobytes() for x in (arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c))
+    ):
+        e = qe > 0
+        o = ((rx if nack else on) if q else off) if e and (backlogged or qs) else 0
+        s = o == 2 and qs > 0
+        d = (w_c if o else w) if q else 0
+        nack = q > 0 and not d
+        q += ap - d
+        qs += as_ - s
+        qe += ae - (e if backlogged else o > 0)
+        put(e | o << 1 | d << 3 | s << 4)
+    del arr_e, out_on, out_off, out_rx, win, win_c
 
-        has_energy = qe > 0
-        may_act = has_energy and (backlogged or qs > 0)
-        sec_tx = False
-        sensed = False
-        if may_act:
-            if retx_slot:
-                sec_tx = u_acc[t] < pr
-            elif do_sense[t]:
-                sensed = True
-                verdict_busy = u_out[t] < ((1.0 - pmd) if primary_on else pfa)
-                sec_tx = u_acc[t] < (pb if verdict_busy else pf)
-                if primary_on:
-                    sense_counts["slots_sensed_primary_on"] += 1
-                    if verdict_busy:
-                        sense_counts["slots_sensed_busy_primary_on"] += 1
-                else:
-                    sense_counts["slots_sensed_primary_off"] += 1
-                    if verdict_busy:
-                        sense_counts["slots_sensed_busy_primary_off"] += 1
-            else:
-                sec_tx = u_acc[t] < pt
+    r = np.frombuffer(record, np.uint8)
+    energized = (r & 1).astype(bool)
+    sent = (r >> 1) & 3
+    dep = (r >> 3) & 1
+    served = r >> 4
+    n_batches = min(N_BATCHES, n_slots)
+    bounds = -(-np.arange(n_batches + 1) * n_slots // n_batches)  # ceil(b n / B)
+    deciles = -(-np.arange(11) * n_slots // 10)
 
-        if sec_tx:
-            if primary_on:
-                p_succ = ps_short_c if sensed else ps_full_c
-            else:
-                p_succ = ps_short if sensed else ps_full
-            if u_ss[t] < p_succ:
-                succ_s_b[b] += 1
-                if qs > 0:
-                    qs -= 1  # under BACKLOGGED a success with qs == 0 was a dummy
+    def per_batch(x):
+        return _segment_sums(x, bounds)
 
-        if primary_on:
-            att_p_b[b] += 1
-            if u_sp[t] < (pp_c if sec_tx else pp):
-                succ_p_b[b] += 1
-                arr_slot = qp.popleft()
-                delay_sum_b[b] += t - arr_slot
-                departed_b[b] += 1
-                prev_nack = False
-            else:
-                prev_nack = True
-        else:
-            prev_nack = False
+    qp = _length_at_start(arr_p, dep)
+    qp_sum_b, dec_sum = per_batch(qp), _segment_sums(qp, deciles)
+    primary_on = qp > 0
+    del qp
+    retx_slot = np.zeros(n_slots, bool)
+    if use_feedback:
+        retx_slot[1:] = primary_on[:-1] & (dep[:-1] == 0)
+    qs_len = _length_at_start(arr_s, served)
+    qs_sum_b = per_batch(qs_len)
+    sensed = energized & (backlogged | (qs_len > 0)) & sense & ~retx_slot
+    del qs_len
+    # FIFO: the k-th departure carries the k-th arrival
+    dep_slots = np.flatnonzero(dep)
+    wait = np.zeros(n_slots)
+    wait[dep_slots] = dep_slots - np.flatnonzero(arr_p)[: dep_slots.size]
 
-        if backlogged:
-            if has_energy:
-                qe -= 1
-                consumed_b[b] += 1
-                energized_b[b] += 1
-        else:
-            if has_energy:
-                energized_b[b] += 1
-            if sec_tx:
-                qe -= 1
-                consumed_b[b] += 1
-
-        if arr_p[t]:
-            qp.append(t)
-            arrivals_b[b] += 1
-        if arr_s[t]:
-            qs += 1
-        if arr_e[t]:
-            qe += 1
-
-    ci = {}
-    mu_p_hat, ci["mu_p_hat"] = _batch_mean_ci(succ_p_b, att_p_b)
-    mu_s_hat, ci["mu_s_hat"] = _batch_mean_ci(succ_s_b, slots_b)
-    mu_e_hat, ci["mu_e_hat"] = _batch_mean_ci(consumed_b, energized_b)
-    delay_hat, ci["delay_hat"] = _batch_mean_ci(delay_sum_b, departed_b)
-    empty_frac, ci["empty_frac_p"] = _batch_mean_ci(empty_b, slots_b)
-    retx_frac, ci["retx_frac"] = _batch_mean_ci(retx_b, slots_b)
-    mean_qp, ci["mean_queue_p"] = _batch_mean_ci(qp_sum_b, slots_b)
-    mean_qs, ci["mean_queue_s"] = _batch_mean_ci(qs_sum_b, slots_b)
-    lam_p_hat, ci["lam_p_hat"] = _batch_mean_ci(arrivals_b, slots_b)
+    slots_b = np.diff(bounds).astype(float)
+    rates, ci = {}, {}
+    for name, values, weights in (
+        ("mu_p_hat", per_batch(dep), per_batch(primary_on)),
+        ("mu_s_hat", per_batch(sent == 2), slots_b),
+        ("mu_e_hat", per_batch(energized if backlogged else sent > 0), per_batch(energized)),
+        ("delay_hat", per_batch(wait), per_batch(dep)),
+        ("empty_frac_p", per_batch(~primary_on), slots_b),
+        ("retx_frac", per_batch(retx_slot), slots_b),
+        ("mean_queue_p", qp_sum_b, slots_b),
+        ("mean_queue_s", qs_sum_b, slots_b),
+        ("lam_p_hat", per_batch(arr_p), slots_b),
+    ):
+        rates[name], ci[name] = _batch_mean_ci(values, weights)
+    dec_n = np.diff(deciles)
+    with np.errstate(invalid="ignore"):
+        dec_means = np.where(dec_n > 0, dec_sum / dec_n, math.nan)
     return SimStats(
         n_slots=n_slots,
         semantics=semantics,
         scheme=scheme,
-        mu_p_hat=mu_p_hat,
-        mu_s_hat=mu_s_hat,
-        mu_e_hat=mu_e_hat,
-        delay_hat=delay_hat,
-        mean_queue_p=mean_qp,
-        mean_queue_s=mean_qs,
-        empty_frac_p=empty_frac,
-        retx_frac=retx_frac,
-        lam_p_hat=lam_p_hat,
+        **rates,
         ci_halfwidths=ci,
-        qp_decile_means=tuple(
-            s / n if n else math.nan for s, n in zip(dec_sum, dec_n)
-        ),
-        sense_counts=sense_counts,
+        qp_decile_means=tuple(dec_means.tolist()),
+        sense_counts={
+            name: int(np.count_nonzero(mask))
+            for name, mask in (
+                ("slots_sensed_busy_primary_on", sensed & primary_on & busy_on),
+                ("slots_sensed_primary_on", sensed & primary_on),
+                ("slots_sensed_busy_primary_off", sensed & ~primary_on & busy_off),
+                ("slots_sensed_primary_off", sensed & ~primary_on),
+            )
+        },
     )
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +10,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 from ehcog import OutageProfile, SensingQuality
 
 
+#: the link profile and sensing quality shared by all bundled presets
+PRESET_PROFILE = OutageProfile.from_ratios(0.7, 0.14, 0.6065, 0.1820, 0.9782, 0.8)
+PRESET_SENSING = SensingQuality(p_false_alarm=0.1, p_missed_detection=0.08)
+
+
 @pytest.fixture(scope="session")
 def preset_profile() -> OutageProfile:
-    """The link profile shared by all bundled presets."""
-    return OutageProfile.from_ratios(0.7, 0.14, 0.6065, 0.1820, 0.9782, 0.8)
+    return PRESET_PROFILE
 
 
 @pytest.fixture(scope="session")
 def preset_sensing() -> SensingQuality:
-    return SensingQuality(p_false_alarm=0.1, p_missed_detection=0.08)
+    return PRESET_SENSING
 
 
 @pytest.fixture()
@@ -45,3 +50,14 @@ def stable_two_phase_draws(rng: np.random.Generator, n: int):
         if 0.0 <= lam < 1.0:
             out.append((lam, alpha, gamma))
     return out
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced memory in bytes of one call, after a warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

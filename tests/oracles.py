@@ -8,8 +8,25 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
+
+from ehcog.params import (
+    OutageProfile,
+    PolicyFb,
+    PolicyNoFb,
+    Scheme,
+    SensingQuality,
+    TrafficParams,
+)
+from ehcog.simulator import (
+    N_BATCHES,
+    STREAMS,
+    SimSemantics,
+    SimStats,
+    _batch_mean_ci,
+)
 
 
 def stationary(P: np.ndarray) -> np.ndarray:
@@ -248,3 +265,178 @@ def solve_per_start(problem, cfg):
     X = np.array([x for x, _, _ in runs])
     M = [m for _, m, _ in runs]
     return _pick(problem, X, M, audit_evals + sum(n for _, _, n in runs))
+
+
+def run_slots(
+    scheme: Scheme,
+    policy: PolicyNoFb,
+    profile: OutageProfile,
+    sensing: SensingQuality,
+    traffic: TrafficParams,
+    semantics: SimSemantics = SimSemantics.EXACT,
+    n_slots: int = 1_000_000,
+    seed: int = 0,
+) -> SimStats:
+    """The slot simulator with every statistic accumulated inside its loop:
+    the reference for ehcog.simulator.run, which must match it bit for bit."""
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
+    use_feedback = scheme is Scheme.FEEDBACK
+    if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0.0:
+        raise ValueError("random access requires p_sense = 0")
+    if use_feedback and not isinstance(policy, PolicyFb):
+        raise ValueError("feedback scheme needs a PolicyFb")
+    backlogged = semantics is SimSemantics.BACKLOGGED
+
+    streams = np.random.SeedSequence(seed).spawn(len(STREAMS))
+    u = {
+        name: np.random.Generator(np.random.Philox(s)).random(n_slots)
+        for name, s in zip(STREAMS, streams)
+    }
+    arr_p = u["arrival_p"] < traffic.lam_p
+    arr_s = u["arrival_s"] < traffic.lam_s
+    arr_e = u["arrival_e"] < traffic.lam_e
+    do_sense = u["sense"] < policy.p_sense
+    u_out, u_acc = u["sense_outcome"], u["access"]
+    u_ss, u_sp = u["success_s"], u["success_p"]
+
+    ps_full, ps_short = profile.p_sec_full, profile.p_sec_short
+    ps_full_c, ps_short_c = profile.p_sec_full_conc, profile.p_sec_short_conc
+    pp, pp_c = profile.p_primary, profile.p_primary_conc
+    pf, pb, pt = policy.p_access_free, policy.p_access_busy, policy.p_access_direct
+    pr = policy.p_access_retx if use_feedback else 0.0
+    pfa, pmd = sensing.p_false_alarm, sensing.p_missed_detection
+
+    B = min(N_BATCHES, n_slots)
+    zeros = lambda: [0.0] * B
+    slots_b = zeros()
+    qp_sum_b, qs_sum_b = zeros(), zeros()
+    empty_b, retx_b = zeros(), zeros()
+    succ_p_b, att_p_b = zeros(), zeros()
+    succ_s_b = zeros()
+    consumed_b, energized_b = zeros(), zeros()
+    delay_sum_b, departed_b = zeros(), zeros()
+    arrivals_b = zeros()
+    dec_sum, dec_n = [0.0] * 10, [0] * 10
+    sense_counts = {
+        "slots_sensed_busy_primary_on": 0,
+        "slots_sensed_primary_on": 0,
+        "slots_sensed_busy_primary_off": 0,
+        "slots_sensed_primary_off": 0,
+    }
+
+    qp: deque[int] = deque()  # arrival slot of each queued primary packet
+    qs = 0
+    qe = 0
+    prev_nack = False
+
+    for t in range(n_slots):
+        b = t * B // n_slots
+        d = t * 10 // n_slots
+        qlen = len(qp)
+        primary_on = qlen > 0
+        slots_b[b] += 1
+        qp_sum_b[b] += qlen
+        qs_sum_b[b] += qs
+        dec_sum[d] += qlen
+        dec_n[d] += 1
+        if not primary_on:
+            empty_b[b] += 1
+        retx_slot = use_feedback and prev_nack
+        if retx_slot:
+            retx_b[b] += 1
+
+        has_energy = qe > 0
+        may_act = has_energy and (backlogged or qs > 0)
+        sec_tx = False
+        sensed = False
+        if may_act:
+            if retx_slot:
+                sec_tx = u_acc[t] < pr
+            elif do_sense[t]:
+                sensed = True
+                verdict_busy = u_out[t] < ((1.0 - pmd) if primary_on else pfa)
+                sec_tx = u_acc[t] < (pb if verdict_busy else pf)
+                if primary_on:
+                    sense_counts["slots_sensed_primary_on"] += 1
+                    if verdict_busy:
+                        sense_counts["slots_sensed_busy_primary_on"] += 1
+                else:
+                    sense_counts["slots_sensed_primary_off"] += 1
+                    if verdict_busy:
+                        sense_counts["slots_sensed_busy_primary_off"] += 1
+            else:
+                sec_tx = u_acc[t] < pt
+
+        if sec_tx:
+            if primary_on:
+                p_succ = ps_short_c if sensed else ps_full_c
+            else:
+                p_succ = ps_short if sensed else ps_full
+            if u_ss[t] < p_succ:
+                succ_s_b[b] += 1
+                if qs > 0:
+                    qs -= 1  # under BACKLOGGED a success with qs == 0 was a dummy
+
+        if primary_on:
+            att_p_b[b] += 1
+            if u_sp[t] < (pp_c if sec_tx else pp):
+                succ_p_b[b] += 1
+                arr_slot = qp.popleft()
+                delay_sum_b[b] += t - arr_slot
+                departed_b[b] += 1
+                prev_nack = False
+            else:
+                prev_nack = True
+        else:
+            prev_nack = False
+
+        if backlogged:
+            if has_energy:
+                qe -= 1
+                consumed_b[b] += 1
+                energized_b[b] += 1
+        else:
+            if has_energy:
+                energized_b[b] += 1
+            if sec_tx:
+                qe -= 1
+                consumed_b[b] += 1
+
+        if arr_p[t]:
+            qp.append(t)
+            arrivals_b[b] += 1
+        if arr_s[t]:
+            qs += 1
+        if arr_e[t]:
+            qe += 1
+
+    ci = {}
+    mu_p_hat, ci["mu_p_hat"] = _batch_mean_ci(succ_p_b, att_p_b)
+    mu_s_hat, ci["mu_s_hat"] = _batch_mean_ci(succ_s_b, slots_b)
+    mu_e_hat, ci["mu_e_hat"] = _batch_mean_ci(consumed_b, energized_b)
+    delay_hat, ci["delay_hat"] = _batch_mean_ci(delay_sum_b, departed_b)
+    empty_frac, ci["empty_frac_p"] = _batch_mean_ci(empty_b, slots_b)
+    retx_frac, ci["retx_frac"] = _batch_mean_ci(retx_b, slots_b)
+    mean_qp, ci["mean_queue_p"] = _batch_mean_ci(qp_sum_b, slots_b)
+    mean_qs, ci["mean_queue_s"] = _batch_mean_ci(qs_sum_b, slots_b)
+    lam_p_hat, ci["lam_p_hat"] = _batch_mean_ci(arrivals_b, slots_b)
+    return SimStats(
+        n_slots=n_slots,
+        semantics=semantics,
+        scheme=scheme,
+        mu_p_hat=mu_p_hat,
+        mu_s_hat=mu_s_hat,
+        mu_e_hat=mu_e_hat,
+        delay_hat=delay_hat,
+        mean_queue_p=mean_qp,
+        mean_queue_s=mean_qs,
+        empty_frac_p=empty_frac,
+        retx_frac=retx_frac,
+        lam_p_hat=lam_p_hat,
+        ci_halfwidths=ci,
+        qp_decile_means=tuple(
+            s / n if n else math.nan for s, n in zip(dec_sum, dec_n)
+        ),
+        sense_counts=sense_counts,
+    )

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from ehcog.optimizer import (
     _vector_from_policy,
 )
 from ehcog.presets import get_preset
+from conftest import traced_peak
 from oracles import pattern_search_one, scan_grid_points, solve_per_start
 
 
@@ -449,17 +449,6 @@ def test_grid_oracle_rescores_only_the_winning_chunk(
     assert res.policy.p_sense > 0.0
     # one scoring pass, the winning chunk again, and _finish's analyze()
     assert len(calls) == n_chunks + 1 + 1
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak traced memory in bytes of one call, after a warm-up call."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_audit_grid_memory_is_bounded(preset_profile, preset_sensing):

@@ -1,17 +1,23 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ehcog import (
+    OutageProfile,
     PolicyFb,
     PolicyNoFb,
     Scheme,
+    SensingQuality,
     SimSemantics,
     TrafficParams,
     closed_form_checks,
     run,
     validate_lower_bound,
 )
+from conftest import PRESET_PROFILE, PRESET_SENSING, traced_peak
+from oracles import run_slots
 
 HAND_POLICY = PolicyNoFb(p_sense=0.0, p_access_direct=1.0)
 HAND_TRAFFIC = TrafficParams(lam_p=0.126, lam_s=1.0, lam_e=0.8)
@@ -286,3 +292,92 @@ def test_stats_metadata(preset_profile, preset_sensing):
     assert stats.semantics is SimSemantics.EXACT
     assert stats.stderr("mu_s_hat") == stats.ci_halfwidths["mu_s_hat"] / 1.959963984540054
     assert len(stats.qp_decile_means) == 10
+
+
+def sim_config(scheme, p, fractions, sensing, policy, traffic):
+    """A valid (scheme, policy, profile, sensing, traffic) from hypothesis
+    draws: fractions scale the success probabilities down from p and
+    p_sec_full, as in test_optimizer.random_problem."""
+    conc, full, short, full_conc, short_conc = fractions
+    profile = OutageProfile(
+        p_primary=p,
+        p_primary_conc=p * conc,
+        p_sec_full=full,
+        p_sec_short=full * short,
+        p_sec_full_conc=full * full_conc,
+        p_sec_short_conc=full * min(short, full_conc) * short_conc,
+    )
+    if scheme is Scheme.FEEDBACK:
+        policy = PolicyFb(*policy)
+    else:
+        sense = 0.0 if scheme is Scheme.RANDOM_ACCESS else policy[0]
+        policy = PolicyNoFb(sense, *policy[1:4])
+    return scheme, policy, profile, SensingQuality(*sensing), TrafficParams(*traffic)
+
+
+unit = st.floats(0.0, 1.0)
+sim_configs = st.builds(
+    sim_config,
+    scheme=st.sampled_from(list(Scheme)),
+    p=unit,
+    fractions=st.tuples(*[unit] * 5),
+    sensing=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    policy=st.tuples(*[unit] * 5),
+    traffic=st.tuples(unit, unit, unit),
+)
+HAND_POLICIES = {
+    Scheme.NOFEEDBACK: PolicyNoFb(0.5, 0.9, 0.2, 0.6),
+    Scheme.FEEDBACK: PolicyFb(0.5, 0.9, 0.2, 0.6, 0.5),
+    Scheme.RANDOM_ACCESS: PolicyNoFb(0.0, 0.0, 0.0, 0.6),
+}
+
+
+def hand_config(scheme, traffic=HAND_TRAFFIC):
+    return scheme, HAND_POLICIES[scheme], PRESET_PROFILE, PRESET_SENSING, traffic
+
+
+def same_float(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+FB, NOFB, RA = (hand_config(s) for s in (Scheme.FEEDBACK, Scheme.NOFEEDBACK, Scheme.RANDOM_ACCESS))
+NO_ENERGY = hand_config(Scheme.NOFEEDBACK, TrafficParams(0.2, 0.5, 0.0))
+NO_DATA = hand_config(Scheme.FEEDBACK, TrafficParams(0.2, 0.0, 0.8))
+NO_PRIMARY = hand_config(Scheme.RANDOM_ACCESS, TrafficParams(0.0, 0.5, 0.8))
+UNSTABLE = hand_config(Scheme.FEEDBACK, TrafficParams(0.8, 1.0, 0.8))
+EXACT, BACKLOGGED = SimSemantics.EXACT, SimSemantics.BACKLOGGED
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=sim_configs,
+    semantics=st.sampled_from(list(SimSemantics)),
+    n_slots=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+# n_slots 29 and 31 straddle the 30 batches; below 10 some deciles are empty
+@example(config=FB, semantics=EXACT, n_slots=1, seed=0)
+@example(config=FB, semantics=BACKLOGGED, n_slots=29, seed=1)
+@example(config=NOFB, semantics=EXACT, n_slots=31, seed=2)
+@example(config=NO_ENERGY, semantics=EXACT, n_slots=2000, seed=3)
+@example(config=NO_DATA, semantics=EXACT, n_slots=2000, seed=4)
+@example(config=NO_PRIMARY, semantics=BACKLOGGED, n_slots=2000, seed=5)
+@example(config=UNSTABLE, semantics=BACKLOGGED, n_slots=3000, seed=6)
+def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed):
+    got = run(*config, semantics, n_slots, seed)
+    want = run_slots(*config, semantics, n_slots, seed)
+    assert repr(got) == repr(want)
+    assert list(got.ci_halfwidths) == list(want.ci_halfwidths)
+    for name, half in want.ci_halfwidths.items():
+        assert same_float(got.ci_halfwidths[name], half), name
+    assert len(got.qp_decile_means) == len(want.qp_decile_means) == 10
+    assert all(map(same_float, got.qp_decile_means, want.qp_decile_means))
+    assert got.sense_counts == want.sense_counts
+
+
+@pytest.mark.parametrize("semantics", list(SimSemantics))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulator_memory_per_slot_is_bounded(scheme, semantics):
+    # the loop that kept every float draw alive peaked at 68.2 B/slot
+    n_slots = 100_000
+    assert traced_peak(run, *hand_config(scheme), semantics, n_slots) < 60 * n_slots
