@@ -22,7 +22,7 @@ from .outage import (
 )
 from .nofeedback import AnalysisReport
 from .feedback import FeedbackChainStats
-from .optimizer import OptProblem, OptResult, SolverConfig, grid_oracle, solve
+from .optimizer import OptProblem, OptResult, SolverConfig, grid_oracle, solve, solve_many
 from .simulator import (
     SimSemantics,
     SimStats,
@@ -56,6 +56,7 @@ __all__ = [
     "grid_oracle",
     "run",
     "solve",
+    "solve_many",
     "success_prob_concurrent",
     "success_prob_solo",
     "transmission_rate",

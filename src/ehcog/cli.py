@@ -349,9 +349,10 @@ def _sweep_tasks(cfg: dict):
 
 def cmd_sweep(cfg: dict) -> int:
     tasks, solver_cfg = _sweep_tasks(cfg)
+    results = optimizer.solve_many([problem for *_, problem in tasks], solver_cfg)
     rows = [
-        _opt_row(scheme, var, value, optimizer.solve(problem, solver_cfg))
-        for var, value, scheme, problem in tasks
+        _opt_row(scheme, var, value, result)
+        for (var, value, scheme, _), result in zip(tasks, results)
     ]
     out = cfg.get("out")
     if out:

@@ -133,6 +133,21 @@ class OperatingPoint(NamedTuple):
         return self.eta
 
 
+def square_no_arrival(lam_p: float) -> float:
+    """(1 - lam_p) ** 2 for one lam_p value: the factor of the delay closed
+    form that a batch must take per lam_p value, not per point.
+
+    Python squares a float through pow() but numpy squares an array by
+    multiplying, and the two round differently for ~0.1% of inputs.  A
+    batch whose points carry different lam_p therefore computes this once
+    per value and gathers it per point, so each point keeps the bits of
+    its scalar evaluation.
+    """
+    if np.ndim(lam_p):
+        raise ValueError("square_no_arrival takes one lam_p; gather it per point")
+    return (1.0 - lam_p) ** 2
+
+
 def closed_forms(
     lam_p: float,
     alpha,
@@ -142,16 +157,21 @@ def closed_forms(
     retx=0.0,
     lam_e: float = 0.0,
     delay_bound: float = math.inf,
+    no_arrival_sq=None,
 ) -> OperatingPoint:
     """The queue-level closed forms of the retransmission-aware scheme.  This
     is the only place they are written.
 
-    lam_p is a scalar; the other inputs may be arrays of broadcastable
-    shapes.  Only elementwise IEEE operations, so each entry of a batch has
-    the same bits as its point evaluated alone.  Scalar inputs give numpy
-    scalars.  Where lam_p >= eta the divisions give inf or nan instead of
-    raising.
+    The inputs may be arrays of broadcastable shapes, lam_p, lam_e and
+    delay_bound included.  no_arrival_sq is square_no_arrival(lam_p); it
+    is computed here when lam_p is a scalar and must be given, gathered
+    per point, when lam_p is an array.  Only elementwise IEEE operations,
+    so each entry of a batch has the same bits as its point evaluated
+    alone.  Scalar inputs give numpy scalars.  Where lam_p >= eta the
+    divisions give inf or nan instead of raising.
     """
+    if no_arrival_sq is None:
+        no_arrival_sq = square_no_arrival(lam_p)
     alpha = np.asarray(alpha, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -166,14 +186,14 @@ def closed_forms(
         # a scalar through pow(), which rounds differently for ~0.1% of
         # inputs, and the scalar and batched delays must carry the same bits
         delay = (
-            (alpha - eta) * (gap * gap) + (1.0 - lam_p) ** 2 * (1.0 - alpha) * eta
+            (alpha - eta) * (gap * gap) + no_arrival_sq * (1.0 - alpha) * eta
         ) / (gap * (1.0 - lam_p) * (1.0 - eta) * gamma)
         # eta ~ 1 makes that 0/0; the rare stable points there are summed
         degen = (eta >= 1.0 - 1e-9) & (lam_p < eta)
         if np.any(degen):
             delay = np.asarray(delay)
             delay[degen] = _degenerate_delay(
-                lam_p, *(np.broadcast_to(v, delay.shape)[degen] for v in (alpha, gamma, eta, pi0))
+                *(np.broadcast_to(v, delay.shape)[degen] for v in (lam_p, alpha, gamma, eta, pi0))
             )
         stable = lam_p <= eta - STABILITY_MARGIN
         feasible = stable & (delay <= delay_bound + DELAY_SLACK)
@@ -187,24 +207,28 @@ def operating_point(
     policy: PolicyFb,
     sensing: SensingQuality,
     traffic: TrafficParams,
+    no_arrival_sq=None,
 ) -> OperatingPoint:
-    """closed_forms of a policy (scalar or batched) under traffic."""
+    """closed_forms of a policy (scalar or batched) under traffic.  A batch
+    whose traffic holds lam_p per point passes no_arrival_sq per point too
+    (see closed_forms)."""
     alpha, gamma = success_probs(profile, policy, sensing, traffic.lam_e)
     idle, busy, retx = _brackets(profile, policy, sensing)
-    return closed_forms(
-        traffic.lam_p, alpha, gamma, idle, busy, retx, traffic.lam_e, traffic.delay_bound
-    )
+    lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
+    return closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound, no_arrival_sq)
 
 
 def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
     """Per-level masses (pi, eps) of stable chains for queue lengths
-    0..k_max, from their aggregates eta and pi0.  alpha, gamma, eta and pi0
-    may be 1-d arrays over points, which become the leading axis of pi and
-    eps."""
+    0..k_max, from their aggregates eta and pi0.  lam_p, alpha, gamma, eta
+    and pi0 may be 1-d arrays over points, which become the leading axis of
+    pi and eps."""
     pi = np.zeros(np.shape(pi0) + (k_max + 1,))
     eps = np.zeros_like(pi)
     pi[..., 0] = pi0
-    alpha, gamma, eta, pi0 = (np.asarray(v)[..., None] for v in (alpha, gamma, eta, pi0))
+    lam_p, alpha, gamma, eta, pi0 = (
+        np.asarray(v)[..., None] for v in (lam_p, alpha, gamma, eta, pi0)
+    )
     if k_max >= 1:
         pi[..., 1:2] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
         eps[..., 1:2] = pi0 * (lam_p / eta) * (1.0 - alpha)
@@ -219,15 +243,19 @@ def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
     return pi, eps
 
 
-def _degenerate_delay(lam_p: float, alpha, gamma, eta, pi0):
+def _degenerate_delay(lam_p, alpha, gamma, eta, pi0):
     """Mean primary delay at eta ~ 1, where the delay closed form is 0/0.
     eta ~ 1 forces alpha ~ 1 and gamma ~ 1, so almost every packet departs
     in one slot; Little's law over the first 64 levels is exact to double
     precision.  The inputs are 1-d arrays of the affected points."""
-    if lam_p == 0.0:
-        return 1.0 + (1.0 - alpha) / gamma
-    pi, eps = _levels(lam_p, alpha, gamma, eta, pi0, 64)
-    return np.sum(np.arange(pi.shape[-1]) * (pi + eps), axis=-1) / lam_p
+    # at lam_p = 0 a packet only waits out its own transmissions
+    out = 1.0 + (1.0 - alpha) / gamma
+    arrivals = lam_p != 0.0
+    if np.any(arrivals):
+        lam_p, alpha, gamma, eta, pi0 = (v[arrivals] for v in (lam_p, alpha, gamma, eta, pi0))
+        pi, eps = _levels(lam_p, alpha, gamma, eta, pi0, 64)
+        out[arrivals] = np.sum(np.arange(pi.shape[-1]) * (pi + eps), axis=-1) / lam_p
+    return out
 
 
 def _check_chain_inputs(alpha, gamma, lam_p) -> None:

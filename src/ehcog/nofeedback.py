@@ -167,9 +167,9 @@ def closed_forms(
     """The queue-level closed forms of the sensing-only scheme.  This is the
     only place they are written.
 
-    The inputs may be arrays of broadcastable shapes.  Only elementwise
-    IEEE operations, so each entry of a batch has the same bits as its point
-    evaluated alone.  Scalar inputs give numpy scalars.  Where lam_p >= mu_p
+    The inputs may be arrays of broadcastable shapes, lam_p, lam_e and
+    delay_bound included.  Only elementwise IEEE operations, so each entry
+    of a batch has the same bits as its point evaluated alone.  Scalar inputs give numpy scalars.  Where lam_p >= mu_p
     the divisions give inf or nan instead of raising.
     """
     mu_p = np.asarray(mu_p, dtype=float)

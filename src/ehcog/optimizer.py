@@ -37,20 +37,34 @@ on the same operands, and the score read in C order lists the points
 lexicographically, as the tie-break needs.
 
 The pattern search moves all starts in lockstep: each sweep scores the
-moved probes of every still-active start in one closed-form batch, then
-applies the accept / shrink / retire rules to each start on its own.  The
-batch changes nothing numerically: _evaluate and _merit use only
+moved probes of every still-active start in shared closed-form batches,
+then applies the accept / shrink / retire rules to each start on its own.
+The batch changes nothing numerically: _evaluate and _merit use only
 elementwise IEEE operations (+, -, *, /, clip, where) and no reduction
-mixes points, so a point scores the same bits in any batch, and a row-wise
+mixes points, so a point scores the same bits in any batch, and a per-start
 argmax over scores with unmoved probes masked to -inf picks the same first
 index as an argmax over the moved probes alone.  Each start therefore
 follows exactly the path it would follow searched by itself.
+
+solve_many() extends the lockstep across problems: all starts of all
+problems of one scheme share one search.  Each probe reads its problem's
+numbers (lam_p, lam_e, delay bound, profile and sensing fields) through a
+row -> problem owner index, gathered per batch from a table built once per
+group, with a plain scalar wherever all problems agree.  The bits still
+hold, because an elementwise operation gives the same result whether an
+operand is a scalar or that scalar repeated in an array, with one
+exception: Python squares a float through pow() but numpy squares an array
+by multiplying, and the two round differently for ~0.1% of inputs.  So the
+one lam_p-only factor that is squared, (1 - lam_p) ** 2 of the feedback
+delay, is computed per problem as the scalar path computes it
+(feedback.square_no_arrival) and gathered per point like the rest.  The
+feedback delay at eta ~ 1 is summed per point with that point's lam_p.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +77,7 @@ from .params import (
     Scheme,
     SensingQuality,
     TrafficParams,
+    unchecked,
 )
 
 #: policy-vector component names per scheme, in lexicographic-tie-break order
@@ -159,42 +174,49 @@ def _dim(scheme: Scheme) -> int:
 
 def _policy_from_vector(scheme: Scheme, x) -> PolicyNoFb:
     """Map a point of the unit box to a policy dataclass.  Accepts arrays in
-    the columns, in which case the fields hold arrays."""
+    the columns, in which case the fields hold arrays.  Every point the
+    optimizer makes is a grid value or clipped to [0, 1], so the policy is
+    built without the range checks that outside input gets."""
     if scheme is Scheme.RANDOM_ACCESS:
-        return PolicyNoFb(0.0, 0.0, 0.0, x[0])
+        return unchecked(PolicyNoFb, 0.0, 0.0, 0.0, x[0])
     if scheme is Scheme.NOFEEDBACK:
-        return PolicyNoFb(x[0], x[1], x[2], x[3])
-    return PolicyFb(x[0], x[1], x[2], x[3], x[4])
+        return unchecked(PolicyNoFb, x[0], x[1], x[2], x[3])
+    return unchecked(PolicyFb, x[0], x[1], x[2], x[3], x[4])
 
 
 def _vector_from_policy(scheme: Scheme, policy: PolicyNoFb) -> np.ndarray:
     return np.array([getattr(policy, name) for name in VAR_NAMES[scheme]])
 
 
-def _evaluate(problem: OptProblem, cols):
+def _evaluate(problem: OptProblem, cols, no_arrival_sq=None):
     """Vectorised constraint/objective evaluation: a thin call into the
     scheme's closed forms, the same ones analyze() reads.
 
     cols is a sequence of d broadcastable policy columns in VAR_NAMES order:
     the rows of X.T for an (n, d) point matrix X, or a grid chunk's scalars
-    and open-grid axes.  Returns (mu_s, mu_eff, delay, stable, feasible)
-    arrays of the broadcast shape, where mu_eff is the service rate the
-    stability constraint compares against.  Entries of mu_s and delay at
-    unstable points are unreliable and must be read through the masks.
+    and open-grid axes.  The fields of problem may hold one value per point
+    (see _point_problems), and then no_arrival_sq must too.  Returns
+    (mu_s, mu_eff, delay, stable, feasible) arrays of the broadcast shape,
+    where mu_eff is the service rate the stability constraint compares
+    against.  Entries of mu_s and delay at unstable points are unreliable
+    and must be read through the masks.
     """
-    mod = feedback if problem.scheme is Scheme.FEEDBACK else nofeedback
     pol = _policy_from_vector(problem.scheme, cols)
-    point = mod.operating_point(problem.profile, pol, problem.sensing, problem.traffic)
+    args = (problem.profile, pol, problem.sensing, problem.traffic)
+    if problem.scheme is Scheme.FEEDBACK:
+        point = feedback.operating_point(*args, no_arrival_sq)
+    else:
+        point = nofeedback.operating_point(*args)
     return point.mu_s, point.mu_eff, point.delay, point.stable, point.feasible
 
 
-def _merit(problem: OptProblem, cols):
+def _merit(problem: OptProblem, cols, no_arrival_sq=None):
     """Tiered score of the policy columns cols (as for _evaluate): feasible
     -> mu_s (>= 0); stable but delay-violating -> (-2, -1]; unstable ->
     (-3, -2].  Higher is better in every tier."""
     lam_p = problem.traffic.lam_p
     d_bound = problem.traffic.delay_bound
-    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, cols)
+    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, cols, no_arrival_sq)
     with np.errstate(invalid="ignore", over="ignore"):
         excess = np.maximum(delay - d_bound, 0.0)
         delay_score = -1.0 - excess / (1.0 + excess)
@@ -328,52 +350,114 @@ def _directions(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _pattern_search(problem, X0):
+#: the parts of a problem that hold its numbers, with their types
+_PARTS = (("profile", OutageProfile), ("sensing", SensingQuality), ("traffic", TrafficParams))
+
+
+def _problem_table(problems):
+    """The numbers of a group of problems, once per group: for each field of
+    each part (and for feedback.square_no_arrival(lam_p)), the problems'
+    common value where they all agree bit for bit, else an array with one
+    entry per problem."""
+
+    def column(values):
+        bits = np.array(values, dtype=float).view(np.uint64)
+        return values[0] if np.all(bits == bits[0]) else bits.view(float)
+
+    table = {
+        part: [column([getattr(getattr(p, part), f.name) for p in problems]) for f in fields(cls)]
+        for part, cls in _PARTS
+    }
+    table["no_arrival_sq"] = column([feedback.square_no_arrival(p.traffic.lam_p) for p in problems])
+    return table
+
+
+def _point_problems(scheme: Scheme, table, owner):
+    """(problem, no_arrival_sq) for a batch whose k-th point belongs to
+    problem owner[k] of the table: every per-problem array of the table is
+    gathered per point, and every common value stays a scalar."""
+
+    def take(v):
+        return v[owner] if isinstance(v, np.ndarray) else v
+
+    parts = {part: unchecked(cls, *map(take, table[part])) for part, cls in _PARTS}
+    return OptProblem(scheme, **parts), take(table["no_arrival_sq"])
+
+
+def _pattern_search(problems, owner, X0):
     """Generating-set pattern search with box projection, maximising the
-    merit from every row of X0 in lockstep.
+    merit from every row of X0 in lockstep.  Row i starts a search of
+    problems[owner[i]]; all problems share one scheme.
 
     Each iteration is one sweep of every still-active start: its probes
-    clip(x + h * dirs) that actually move are scored in one shared _merit
-    batch, the best probe (first index among equals) is taken if it beats
+    clip(x + h * dirs) that actually move are scored in shared _merit
+    batches, the best probe (first index among equals) is taken if it beats
     the start's merit by more than 1e-15, otherwise the start's step shrinks
-    and the start retires once the step drops below MIN_STEP.  Returns the
+    and the start retires once the step drops below MIN_STEP.  Each probe
+    reads its own start's problem through the owner index.  Returns the
     per-start arrays (X, merit, n_evals).  Deterministic.
+
+    A batch holds whole starts and at most GRID_CHUNK // 2 probe points,
+    half a grid chunk, because beside the closed-form temporaries it keeps
+    every probe and a copy of the moved ones.  The probes are laid out
+    (coordinate, direction, start), so each coordinate of the moved probes
+    is one contiguous column for the closed forms.
     """
+    scheme = problems[0].scheme
+    table = _problem_table(problems)
     X = np.clip(np.asarray(X0, dtype=float), 0.0, 1.0)
-    M = _merit(problem, X.T)
-    n_evals = np.ones(X.shape[0], dtype=np.int64)
-    dirs = _directions(X.shape[1])
-    h = np.full(X.shape[0], INIT_STEP)
-    active = np.arange(X.shape[0])
+    n, d = X.shape
+    per_batch = GRID_CHUNK // 2
+    M = np.empty(n)
+    for i in range(0, n, per_batch):
+        problem, sq = _point_problems(scheme, table, owner[i : i + per_batch])
+        M[i : i + per_batch] = _merit(problem, X[i : i + per_batch].T, sq)
+    n_evals = np.ones(n, dtype=np.int64)
+    h = np.full(n, INIT_STEP)
+    dirs = _directions(d).T[:, :, None]  # (coordinate, direction, 1)
+    starts_per_batch = max(1, per_batch // dirs.shape[1])
+    active = np.arange(n)
     for _ in range(MAX_SWEEPS):
-        x = X[active][:, None, :]
-        P = np.clip(x + h[active, None, None] * dirs, 0.0, 1.0)
-        keep = np.any(P != x, axis=2)
-        scores = np.full(keep.shape, -math.inf)
-        scores[keep] = _merit(problem, P[keep].T)
-        n_evals[active] += keep.sum(axis=1)
-        rows = np.arange(active.size)
-        best = np.argmax(scores, axis=1)
-        top = scores[rows, best]
-        up = top > M[active] + 1e-15
-        X[active[up]] = P[rows[up], best[up]]
-        M[active[up]] = top[up]
-        h[active[~up]] *= SHRINK
+        for i in range(0, active.size, starts_per_batch):
+            rows = active[i : i + starts_per_batch]
+            x = X[rows].T[:, None, :]
+            P = np.clip(x + h[rows] * dirs, 0.0, 1.0)
+            keep = np.any(P != x, axis=0)
+            cols = np.compress(keep.ravel(), P.reshape(d, -1), axis=1)
+            problem, sq = _point_problems(scheme, table, np.broadcast_to(owner[rows], keep.shape)[keep])
+            scores = np.full(keep.shape, -math.inf)
+            scores[keep] = _merit(problem, cols, sq)
+            n_evals[rows] += keep.sum(axis=0)
+            k = np.arange(rows.size)
+            best = np.argmax(scores, axis=0)
+            top = scores[best, k]
+            up = top > M[rows] + 1e-15
+            X[rows[up]] = P[:, best[up], k[up]].T
+            M[rows[up]] = top[up]
+            h[rows[~up]] *= SHRINK
         active = active[h[active] >= MIN_STEP]
         if not active.size:
             break
     return X, M, n_evals
 
 
-def _start_points(problem: OptProblem, cfg: SolverConfig):
-    """The (n_starts + 3, d) start matrix of solve() and the evaluations its
-    audit grid spent."""
+def _sobol_points(d: int, cfg: SolverConfig) -> np.ndarray:
+    """The config's n_starts scrambled Sobol points in [0, 1)^d."""
     from scipy.stats import qmc  # deferred: the only scipy use, and slow to import
 
+    return qmc.Sobol(d, scramble=True, seed=cfg.seed).random(cfg.n_starts)
+
+
+def _start_points(problem: OptProblem, cfg: SolverConfig, sobol=None):
+    """The (n_starts + 3, d) start matrix of a problem and the evaluations
+    its audit grid spent.  sobol is _sobol_points of the problem's scheme,
+    which every problem of that scheme shares; it is drawn here if not
+    given."""
     d = _dim(problem.scheme)
+    if sobol is None:
+        sobol = _sobol_points(d, cfg)
     audit_x, _, audit_evals = _scan_grid(problem, AUDIT_STEP, False)
-    sobol = qmc.Sobol(d, scramble=True, seed=cfg.seed)
-    starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol.random(cfg.n_starts)])
+    starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol])
     return starts, audit_evals
 
 
@@ -390,6 +474,33 @@ def _pick(problem: OptProblem, X, M, n_evals: int) -> OptResult:
     return _finish(problem, best_x, bool(best_m >= 0.0), meta)
 
 
+def solve_many(problems, config: SolverConfig | None = None) -> list[OptResult]:
+    """solve() for every problem of a list, in the list's order.
+
+    The problems are grouped by scheme.  Each problem gets the start list
+    solve() describes, and all starts of a group, over all its problems,
+    are searched in one lockstep pattern search.  Every start still follows
+    exactly the path it follows when its problem is solved alone, so
+    solve_many(ps, c)[k] == solve(ps[k], c).
+    """
+    cfg = config or SolverConfig()
+    problems = list(problems)
+    results: list = [None] * len(problems)
+    for scheme in Scheme:
+        index = [k for k, p in enumerate(problems) if p.scheme is scheme]
+        if not index:
+            continue
+        group = [problems[k] for k in index]
+        sobol = _sobol_points(_dim(scheme), cfg)
+        starts, audit_evals = zip(*(_start_points(p, cfg, sobol) for p in group))
+        n = len(starts[0])
+        X, M, used = _pattern_search(group, np.repeat(np.arange(len(group)), n), np.vstack(starts))
+        for j, k in enumerate(index):
+            rows = slice(j * n, (j + 1) * n)
+            results[k] = _pick(group[j], X[rows], M[rows], audit_evals[j] + int(used[rows].sum()))
+    return results
+
+
 def solve(problem: OptProblem, config: SolverConfig | None = None) -> OptResult:
     """Multi-start pattern search for the best policy of the given problem.
 
@@ -399,12 +510,9 @@ def solve(problem: OptProblem, config: SolverConfig | None = None) -> OptResult:
     rate and minimises its delay, the problem is feasible iff the silent
     start lands in the feasible tier, so infeasibility detection is exact.
 
-    All starts are searched in lockstep, one closed-form batch per sweep.
-    The closed forms are elementwise, so every point scores exactly as it
-    would in a batch of its own, and each start follows the same path as a
-    search run from it alone.
+    All starts are searched in lockstep (see solve_many).  The closed forms
+    are elementwise, so every point scores exactly as it would in a batch
+    of its own, and each start follows the same path as a search run from
+    it alone.
     """
-    cfg = config or SolverConfig()
-    starts, audit_evals = _start_points(problem, cfg)
-    X, M, used = _pattern_search(problem, starts)
-    return _pick(problem, X, M, audit_evals + int(used.sum()))
+    return solve_many([problem], config)[0]

@@ -45,6 +45,24 @@ def _check_prob(name: str, value, tol: float = PROB_TOL) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def unchecked(cls, *values):
+    """cls(*values) for one of the frozen dataclasses here, without the
+    checks of its __post_init__.
+
+    Only for values the program builds itself from already checked ones:
+    the optimizer's policy batches, whose fields lie in [0, 1] by
+    construction, and the per-point problem fields of its lockstep search,
+    which are arrays the checks cannot read.  Outside input always goes
+    through cls(...)."""
+    names = cls.__dataclass_fields__  # these classes have no ClassVar or InitVar
+    if len(values) != len(names):
+        raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(values)}")
+    obj = object.__new__(cls)
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Physical parameters of one transmitter-receiver pair.

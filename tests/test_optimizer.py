@@ -16,10 +16,11 @@ from ehcog import (
     TrafficParams,
     grid_oracle,
     solve,
+    solve_many,
 )
 from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
-from ehcog import optimizer
+from ehcog import optimizer, params
 from ehcog.cli import _sweep_tasks
 from ehcog.nofeedback import DELAY_SLACK
 from ehcog.optimizer import (
@@ -27,13 +28,16 @@ from ehcog.optimizer import (
     _directions,
     _grid_chunks,
     _grid_values,
+    _merit,
     _pattern_search,
+    _point_problems,
     _policy_from_vector,
+    _problem_table,
     _scan_grid,
     _start_points,
     _vector_from_policy,
 )
-from ehcog.presets import get_preset
+from ehcog.presets import PRESETS, get_preset
 from conftest import traced_peak
 from oracles import pattern_search_one, scan_grid_points, solve_per_start
 
@@ -379,7 +383,7 @@ def test_lockstep_search_tracks_every_start(preset_profile, preset_sensing, monk
     runs = {}
     for max_sweeps in (full, 3):
         monkeypatch.setattr(optimizer, "MAX_SWEEPS", max_sweeps)
-        X, M, used = _pattern_search(prob, starts)
+        X, M, used = _pattern_search([prob], np.zeros(len(starts), dtype=int), starts)
         for x0, x, m, n in zip(starts, X, M, used):
             ref_x, ref_m, ref_n = pattern_search_one(prob, x0)
             assert x.tolist() == ref_x.tolist()
@@ -394,6 +398,109 @@ def test_lockstep_search_tracks_every_start(preset_profile, preset_sensing, monk
 @given(prob=random_problems)
 def test_lockstep_solve_matches_oracle_on_random_problems(prob):
     assert solve(prob, FAST) == solve_per_start(prob, FAST)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+@pytest.mark.parametrize("max_sweeps", [None, 3], ids=["full", "capped"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_solve_many_matches_per_start_oracle_on_preset_sweeps(preset, max_sweeps, monkeypatch):
+    # the sweeps vary lam_p (fig4, fig6), lam_e (fig7) and the profile (fig8)
+    if max_sweeps is not None:
+        monkeypatch.setattr(optimizer, "MAX_SWEEPS", max_sweeps)
+    tasks, cfg = _sweep_tasks(get_preset(preset))
+    problems = [t[3] for t in tasks]
+    assert solve_many(problems, cfg) == [solve_per_start(p, cfg) for p in problems]
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
+@settings(max_examples=10, deadline=None)
+@given(problems=st.lists(random_problems, min_size=1, max_size=4))
+def test_solve_many_matches_oracle_on_random_problem_lists(problems):
+    assert solve_many(problems, FAST) == [solve_per_start(p, FAST) for p in problems]
+
+
+#: lam_p values of a lockstep batch: 0.1671 is one where squaring 1 - lam_p
+#: elementwise rounds differently from the scalar path's pow() for many
+#: points, and 0 takes its own branch at eta ~ 1
+PER_POINT_LAM_P = (0.0, 0.0523, 0.1671, 0.3648)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NOFEEDBACK, Scheme.FEEDBACK])
+def test_closed_forms_with_per_point_traffic_match_scalar_bitwise(scheme):
+    rng = np.random.default_rng(11)
+    n = 1500
+    owner = np.repeat(np.arange(len(PER_POINT_LAM_P)), n)
+    lam_p = np.array(PER_POINT_LAM_P)[owner]
+    alpha, gamma, idle, busy, retx, lam_e = rng.random((6, lam_p.size))
+    # eta ~ 1 (alpha and gamma within 1e-11 of 1) on a quarter of the rows,
+    # which then mix lam_p = 0 with lam_p > 0
+    near = rng.random(lam_p.size) < 0.25
+    alpha[near] = 1.0 - 1e-11 * rng.random(near.sum())
+    gamma[near] = 1.0 - 1e-11 * rng.random(near.sum())
+    bound = rng.choice([1.0, 1.5, 2.0, 5.0, math.inf], lam_p.size)
+    if scheme is Scheme.FEEDBACK:
+        sq = np.array([fb.square_no_arrival(v) for v in PER_POINT_LAM_P])[owner]
+        batch = fb.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound, sq)
+
+        def one(i):
+            args = (lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
+            return fb.closed_forms(*(float(v[i]) for v in args))
+
+    else:
+        batch = nofb.closed_forms(lam_p, alpha, idle, busy, lam_e, bound)
+
+        def one(i):
+            return nofb.closed_forms(*(float(v[i]) for v in (lam_p, alpha, idle, busy, lam_e, bound)))
+
+    n_degenerate = np.zeros(len(PER_POINT_LAM_P), dtype=int)
+    for i in range(lam_p.size):
+        for name, value in zip(batch._fields, one(i)):
+            assert same_bits(np.broadcast_to(getattr(batch, name), lam_p.shape)[i], value), (name, i)
+        n_degenerate[owner[i]] += bool(batch.stable[i] and batch.mu_eff[i] >= 1.0 - 1e-9)
+    assert np.all(n_degenerate > 0)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NOFEEDBACK, Scheme.FEEDBACK])
+def test_gathered_problems_score_each_point_as_its_own_problem(
+    scheme, preset_profile, preset_sensing
+):
+    # the perfect primary link puts near-silent policies at eta ~ 1
+    perfect = OutageProfile(1.0, 0.2, 0.6, 0.5, 0.3, 0.2)
+    problems = [
+        OptProblem(scheme, profile, preset_sensing, TrafficParams(lam_p, 1.0, lam_e, bound))
+        for profile in (preset_profile, perfect)
+        for lam_p in PER_POINT_LAM_P
+        for lam_e, bound in ((0.8, 1.5), (0.3, math.inf))
+    ]
+    d = len(VAR_NAMES[scheme])
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.random((3000, d)), 1e-10 * rng.random((1000, d))])
+    owner = rng.integers(len(problems), size=X.shape[0])
+    problem, sq = _point_problems(scheme, _problem_table(problems), owner)
+    batch = _merit(problem, X.T, sq)
+    for k, prob in enumerate(problems):
+        own = owner == k
+        assert batch[own].tobytes() == _merit(prob, X[own].T).tobytes()
+
+
+def test_square_no_arrival_takes_one_lam_p():
+    with pytest.raises(ValueError):
+        fb.square_no_arrival(np.array(PER_POINT_LAM_P))
+    with pytest.raises(ValueError):
+        fb.closed_forms(np.array([0.1, 0.2]), 0.9, 0.9)
+
+
+def test_optimizer_builds_its_policies_without_range_checks(
+    preset_profile, preset_sensing, monkeypatch
+):
+    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
+    calls = []
+    monkeypatch.setattr(params, "_check_prob", lambda *args, **kw: calls.append(args))
+    solve(prob, FAST)
+    grid_oracle(prob, 0.25)
+    assert calls == []
+    PolicyFb(0.1, 0.2, 0.3, 0.4, 0.5)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("feasible_only", [False, True])
@@ -461,3 +568,9 @@ def test_grid_oracle_memory_is_bounded(preset_profile, preset_sensing):
     # in 21^4-point batches, the 21^5 grid at step 0.05 took ~40 MB
     prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
     assert traced_peak(grid_oracle, prob, 0.05) < 8 * 2**20
+
+
+def test_solve_many_memory_is_bounded():
+    # fig4's 42 problems in one unblocked lockstep search peaked at ~9.5 MB
+    tasks, cfg = _sweep_tasks(get_preset("fig4"))
+    assert traced_peak(solve_many, [t[3] for t in tasks], cfg) < 4 * 2**20
