@@ -18,7 +18,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import yaml
 
@@ -134,9 +134,19 @@ def _mapping(section, where: str) -> dict:
     return section
 
 
+def _check_numbers(section: dict, names, where: str) -> None:
+    """Refuse any value in section of a field in names that is not an int or
+    a float, bools included: YAML reads 1e-3 or a quoted number as a string,
+    and the range checks downstream do not all refuse one."""
+    for name, value in section.items():
+        if name in names and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"'{where}.{name}' must be a number")
+
+
 def _build(cls, section: dict, where: str):
+    _check_numbers(_mapping(section, where), {f.name for f in fields(cls)}, where)
     try:
-        return cls(**_mapping(section, where))
+        return cls(**section)
     except TypeError as e:
         raise ConfigError(f"bad field in '{where}': {e}") from None
     except ValueError as e:
@@ -172,6 +182,7 @@ def _parse_profile(cfg: dict) -> OutageProfile:
                 raise ConfigError(f"profile.probabilities missing field {e}") from None
             if probs:
                 raise ConfigError(f"unexpected profile fields: {sorted(probs)}")
+            _check_numbers(kwargs, kwargs, "profile.probabilities")
             try:
                 return OutageProfile.from_ratios(**kwargs)
             except ValueError as e:
@@ -205,11 +216,21 @@ def _parse_policy(cfg: dict, scheme: Scheme) -> PolicyNoFb:
     if scheme is Scheme.FEEDBACK:
         return _build(PolicyFb, section, "policy")
     section.pop("p_access_retx", None)
-    return _build(PolicyNoFb, section, "policy")
+    policy = _build(PolicyNoFb, section, "policy")
+    if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0:
+        raise ConfigError(f"random_access requires 'policy.p_sense' = 0, got {policy.p_sense!r}")
+    return policy
 
 
 def _parse_sensing(cfg: dict) -> SensingQuality:
     return _build(SensingQuality, cfg.get("sensing", {}), "sensing")
+
+
+def _parse_point(cfg: dict) -> tuple:
+    """(scheme, profile, sensing, traffic, policy) of a single-point command."""
+    scheme = _parse_scheme(_need(cfg, "scheme"))
+    return (scheme, _parse_profile(cfg), _parse_sensing(cfg), _parse_traffic(cfg),
+            _parse_policy(cfg, scheme))
 
 
 def _parse_solver(cfg: dict) -> optimizer.SolverConfig:
@@ -260,11 +281,7 @@ def _print_report(report) -> None:
 
 
 def cmd_analyze(cfg: dict) -> int:
-    scheme = _parse_scheme(_need(cfg, "scheme"))
-    profile = _parse_profile(cfg)
-    sensing = _parse_sensing(cfg)
-    traffic = _parse_traffic(cfg)
-    policy = _parse_policy(cfg, scheme)
+    scheme, profile, sensing, traffic, policy = _parse_point(cfg)
     mod = feedback if scheme is Scheme.FEEDBACK else nofeedback
     report = mod.analyze(profile, policy, sensing, traffic)
     print(f"scheme: {scheme.value}")
@@ -315,15 +332,14 @@ def _sweep_tasks(cfg: dict):
         raise ConfigError(f"unknown sweep variable {var!r}")
     if not isinstance(grid, (list, tuple)) or not grid:
         raise ConfigError("sweep grid must be a nonempty list")
-    steps = [g for g in grid]
     if var == "mpr_on":
-        if any(g not in (0, 1, True, False) for g in steps):
+        if any(g not in (0, 1, True, False) for g in grid):
             raise ConfigError("mpr_on grid values must be 0 or 1")
     else:
         try:
-            vals = [float(g) for g in steps]
+            vals = [float(g) for g in grid]
         except (TypeError, ValueError):
-            raise ConfigError(f"sweep grid values must be numbers, got {steps!r}") from None
+            raise ConfigError(f"sweep grid values must be numbers, got {grid!r}") from None
         if any(b < a for a, b in zip(vals, vals[1:])) and any(
             b > a for a, b in zip(vals, vals[1:])
         ):
@@ -333,7 +349,7 @@ def _sweep_tasks(cfg: dict):
     traffic = _parse_traffic(cfg)
     solver_cfg = _parse_solver(cfg)
     tasks = []
-    for value in steps:
+    for value in grid:
         prof, tr = profile, traffic
         try:
             if var == "mpr_on":
@@ -366,11 +382,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    scheme = _parse_scheme(_need(cfg, "scheme"))
-    profile = _parse_profile(cfg)
-    sensing = _parse_sensing(cfg)
-    traffic = _parse_traffic(cfg)
-    policy = _parse_policy(cfg, scheme)
+    scheme, profile, sensing, traffic, policy = _parse_point(cfg)
     sim_cfg, n_slots, seed = _parse_run(cfg)
     try:
         semantics = SimSemantics(str(sim_cfg.get("semantics", "exact")).lower())
@@ -395,11 +407,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
-    scheme = _parse_scheme(_need(cfg, "scheme"))
-    profile = _parse_profile(cfg)
-    sensing = _parse_sensing(cfg)
-    traffic = _parse_traffic(cfg)
-    policy = _parse_policy(cfg, scheme)
+    scheme, profile, sensing, traffic, policy = _parse_point(cfg)
     _, n_slots, seed = _parse_run(cfg)
     bound_report = simulator.validate_lower_bound(
         scheme, policy, profile, sensing, traffic, n_slots, seed

@@ -133,21 +133,6 @@ class OperatingPoint(NamedTuple):
         return self.eta
 
 
-def square_no_arrival(lam_p: float) -> float:
-    """(1 - lam_p) ** 2 for one lam_p value: the factor of the delay closed
-    form that a batch must take per lam_p value, not per point.
-
-    Python squares a float through pow() but numpy squares an array by
-    multiplying, and the two round differently for ~0.1% of inputs.  A
-    batch whose points carry different lam_p therefore computes this once
-    per value and gathers it per point, so each point keeps the bits of
-    its scalar evaluation.
-    """
-    if np.ndim(lam_p):
-        raise ValueError("square_no_arrival takes one lam_p; gather it per point")
-    return (1.0 - lam_p) ** 2
-
-
 def closed_forms(
     lam_p: float,
     alpha,
@@ -157,37 +142,34 @@ def closed_forms(
     retx=0.0,
     lam_e: float = 0.0,
     delay_bound: float = math.inf,
-    no_arrival_sq=None,
 ) -> OperatingPoint:
     """The queue-level closed forms of the retransmission-aware scheme.  This
     is the only place they are written.
 
     The inputs may be arrays of broadcastable shapes, lam_p, lam_e and
-    delay_bound included.  no_arrival_sq is square_no_arrival(lam_p); it
-    is computed here when lam_p is a scalar and must be given, gathered
-    per point, when lam_p is an array.  Only elementwise IEEE operations,
-    so each entry of a batch has the same bits as its point evaluated
-    alone.  Scalar inputs give numpy scalars.  Where lam_p >= eta the
-    divisions give inf or nan instead of raising.
+    delay_bound included.  Only elementwise IEEE operations, so each entry
+    of a batch has the same bits as its point evaluated alone.  Scalar
+    inputs give numpy scalars.  Where lam_p >= eta the divisions give inf
+    or nan instead of raising.
     """
-    if no_arrival_sq is None:
-        no_arrival_sq = square_no_arrival(lam_p)
     alpha = np.asarray(alpha, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eta = lam_p * alpha + (1.0 - lam_p) * gamma
+        no_arrival = 1.0 - lam_p
+        eta = lam_p * alpha + no_arrival * gamma
         gap = eta - lam_p
         pi0 = gap / gamma
         sum_eps = lam_p * (1.0 - alpha) / gamma
         # The fresh-head busy mass telescopes to lam_p exactly (each departure
         # of a fresh head is preceded by exactly one arrival in the long run).
         mu_s = lam_e * (pi0 * idle + lam_p * busy + sum_eps * retx)
-        # gap * gap, not gap ** 2: numpy squares an array by multiplying but
-        # a scalar through pow(), which rounds differently for ~0.1% of
-        # inputs, and the scalar and batched delays must carry the same bits
+        # squares by multiplying, never **: numpy squares an array by
+        # multiplying but a scalar through pow(), which rounds differently
+        # for ~0.1% of inputs, and the scalar and batched delays must carry
+        # the same bits
         delay = (
-            (alpha - eta) * (gap * gap) + no_arrival_sq * (1.0 - alpha) * eta
-        ) / (gap * (1.0 - lam_p) * (1.0 - eta) * gamma)
+            (alpha - eta) * (gap * gap) + (no_arrival * no_arrival) * (1.0 - alpha) * eta
+        ) / (gap * no_arrival * (1.0 - eta) * gamma)
         # eta ~ 1 makes that 0/0; the rare stable points there are summed
         degen = (eta >= 1.0 - 1e-9) & (lam_p < eta)
         if np.any(degen):
@@ -207,15 +189,12 @@ def operating_point(
     policy: PolicyFb,
     sensing: SensingQuality,
     traffic: TrafficParams,
-    no_arrival_sq=None,
 ) -> OperatingPoint:
-    """closed_forms of a policy (scalar or batched) under traffic.  A batch
-    whose traffic holds lam_p per point passes no_arrival_sq per point too
-    (see closed_forms)."""
+    """closed_forms of a policy (scalar or batched) under traffic."""
     alpha, gamma = success_probs(profile, policy, sensing, traffic.lam_e)
     idle, busy, retx = _brackets(profile, policy, sensing)
     lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
-    return closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound, no_arrival_sq)
+    return closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
 
 
 def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):

@@ -52,13 +52,7 @@ numbers (lam_p, lam_e, delay bound, profile and sensing fields) through a
 row -> problem owner index, gathered per batch from a table built once per
 group, with a plain scalar wherever all problems agree.  The bits still
 hold, because an elementwise operation gives the same result whether an
-operand is a scalar or that scalar repeated in an array, with one
-exception: Python squares a float through pow() but numpy squares an array
-by multiplying, and the two round differently for ~0.1% of inputs.  So the
-one lam_p-only factor that is squared, (1 - lam_p) ** 2 of the feedback
-delay, is computed per problem as the scalar path computes it
-(feedback.square_no_arrival) and gathered per point like the rest.  The
-feedback delay at eta ~ 1 is summed per point with that point's lam_p.
+operand is a scalar or that scalar repeated in an array.
 """
 from __future__ import annotations
 
@@ -188,35 +182,32 @@ def _vector_from_policy(scheme: Scheme, policy: PolicyNoFb) -> np.ndarray:
     return np.array([getattr(policy, name) for name in VAR_NAMES[scheme]])
 
 
-def _evaluate(problem: OptProblem, cols, no_arrival_sq=None):
+def _evaluate(problem: OptProblem, cols):
     """Vectorised constraint/objective evaluation: a thin call into the
     scheme's closed forms, the same ones analyze() reads.
 
     cols is a sequence of d broadcastable policy columns in VAR_NAMES order:
     the rows of X.T for an (n, d) point matrix X, or a grid chunk's scalars
     and open-grid axes.  The fields of problem may hold one value per point
-    (see _point_problems), and then no_arrival_sq must too.  Returns
+    (see _point_problems).  Returns
     (mu_s, mu_eff, delay, stable, feasible) arrays of the broadcast shape,
     where mu_eff is the service rate the stability constraint compares
     against.  Entries of mu_s and delay at unstable points are unreliable
     and must be read through the masks.
     """
     pol = _policy_from_vector(problem.scheme, cols)
-    args = (problem.profile, pol, problem.sensing, problem.traffic)
-    if problem.scheme is Scheme.FEEDBACK:
-        point = feedback.operating_point(*args, no_arrival_sq)
-    else:
-        point = nofeedback.operating_point(*args)
+    mod = feedback if problem.scheme is Scheme.FEEDBACK else nofeedback
+    point = mod.operating_point(problem.profile, pol, problem.sensing, problem.traffic)
     return point.mu_s, point.mu_eff, point.delay, point.stable, point.feasible
 
 
-def _merit(problem: OptProblem, cols, no_arrival_sq=None):
+def _merit(problem: OptProblem, cols):
     """Tiered score of the policy columns cols (as for _evaluate): feasible
     -> mu_s (>= 0); stable but delay-violating -> (-2, -1]; unstable ->
     (-3, -2].  Higher is better in every tier."""
     lam_p = problem.traffic.lam_p
     d_bound = problem.traffic.delay_bound
-    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, cols, no_arrival_sq)
+    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, cols)
     with np.errstate(invalid="ignore", over="ignore"):
         excess = np.maximum(delay - d_bound, 0.0)
         delay_score = -1.0 - excess / (1.0 + excess)
@@ -356,32 +347,29 @@ _PARTS = (("profile", OutageProfile), ("sensing", SensingQuality), ("traffic", T
 
 def _problem_table(problems):
     """The numbers of a group of problems, once per group: for each field of
-    each part (and for feedback.square_no_arrival(lam_p)), the problems'
-    common value where they all agree bit for bit, else an array with one
-    entry per problem."""
+    each part, the problems' common value where they all agree bit for bit,
+    else an array with one entry per problem."""
 
     def column(values):
         bits = np.array(values, dtype=float).view(np.uint64)
         return values[0] if np.all(bits == bits[0]) else bits.view(float)
 
-    table = {
+    return {
         part: [column([getattr(getattr(p, part), f.name) for p in problems]) for f in fields(cls)]
         for part, cls in _PARTS
     }
-    table["no_arrival_sq"] = column([feedback.square_no_arrival(p.traffic.lam_p) for p in problems])
-    return table
 
 
 def _point_problems(scheme: Scheme, table, owner):
-    """(problem, no_arrival_sq) for a batch whose k-th point belongs to
-    problem owner[k] of the table: every per-problem array of the table is
-    gathered per point, and every common value stays a scalar."""
+    """The problem of a batch whose k-th point belongs to problem owner[k]
+    of the table: every per-problem array of the table is gathered per
+    point, and every common value stays a scalar."""
 
     def take(v):
         return v[owner] if isinstance(v, np.ndarray) else v
 
     parts = {part: unchecked(cls, *map(take, table[part])) for part, cls in _PARTS}
-    return OptProblem(scheme, **parts), take(table["no_arrival_sq"])
+    return OptProblem(scheme, **parts)
 
 
 def _pattern_search(problems, owner, X0):
@@ -410,8 +398,8 @@ def _pattern_search(problems, owner, X0):
     per_batch = GRID_CHUNK // 2
     M = np.empty(n)
     for i in range(0, n, per_batch):
-        problem, sq = _point_problems(scheme, table, owner[i : i + per_batch])
-        M[i : i + per_batch] = _merit(problem, X[i : i + per_batch].T, sq)
+        problem = _point_problems(scheme, table, owner[i : i + per_batch])
+        M[i : i + per_batch] = _merit(problem, X[i : i + per_batch].T)
     n_evals = np.ones(n, dtype=np.int64)
     h = np.full(n, INIT_STEP)
     dirs = _directions(d).T[:, :, None]  # (coordinate, direction, 1)
@@ -424,9 +412,9 @@ def _pattern_search(problems, owner, X0):
             P = np.clip(x + h[rows] * dirs, 0.0, 1.0)
             keep = np.any(P != x, axis=0)
             cols = np.compress(keep.ravel(), P.reshape(d, -1), axis=1)
-            problem, sq = _point_problems(scheme, table, np.broadcast_to(owner[rows], keep.shape)[keep])
+            problem = _point_problems(scheme, table, np.broadcast_to(owner[rows], keep.shape)[keep])
             scores = np.full(keep.shape, -math.inf)
-            scores[keep] = _merit(problem, cols, sq)
+            scores[keep] = _merit(problem, cols)
             n_evals[rows] += keep.sum(axis=0)
             k = np.arange(rows.size)
             best = np.argmax(scores, axis=0)

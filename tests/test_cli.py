@@ -10,17 +10,21 @@ import yaml
 from ehcog.cli import ANALYZE_HEADER, OPT_HEADER, SIM_HEADER, main
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
+
+def run_python(args):
+    """`python ...` in a fresh interpreter that imports the package from
+    this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_module(argv):
-    """`python -m ehcog.cli ...` in a fresh interpreter that imports the
-    package from this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "ehcog.cli", *argv], capture_output=True, text=True, env=env
-    )
+    """`python -m ehcog.cli ...` in a fresh interpreter (see run_python)."""
+    return run_python(["-m", "ehcog.cli", *argv])
 
 
 def run_cli(capsys, argv):
@@ -275,6 +279,16 @@ def test_console_entry_point():
     assert "mu_s: " in proc.stdout
 
 
+def test_run_figures_script_writes_the_sweep_csv(tmp_path):
+    proc = run_python(
+        [str(ROOT / "scripts" / "run_figures.py"), "--presets", "fig8", "--outdir", str(tmp_path)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    direct = tmp_path / "direct.csv"
+    assert main(["sweep", "--preset", "fig8", "--out", str(direct)]) == 0
+    assert (tmp_path / "fig8_sweep.csv").read_bytes() == direct.read_bytes()
+
+
 PHYSICS_CONFIG = {
     "scheme": "nofeedback",
     "profile": {
@@ -293,39 +307,61 @@ PHYSICS_CONFIG = {
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, message",
     [
-        (["simulate", "--preset", "fig4", "--slots", "0"], None),
-        (["validate", "--preset", "fig4", "--slots", "0"], None),
-        (["simulate", "--preset", "fig4"], {"sim": {"n_slots": "abc"}}),
-        (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.1, 1.5]}}),
-        (["analyze"], PHYSICS_CONFIG),
-        (["optimize", "--preset", "fig4", "--seed", "-1"], None),
-        (["analyze", "--preset", "fig4"], {"traffic": 5}),
-        (["optimize", "--preset", "fig4"], {"solver": 3}),
-        (["analyze", "--preset", "fig4"], {"policy": [1, 2]}),
-        (["analyze", "--preset", "fig4"], {"profile": {"probabilities": 7}}),
-        (["sweep", "--preset", "fig4"], {"sweep": 4}),
-        (["simulate", "--preset", "fig4", "--slots", "10"], {"sim": 5}),
-        (["optimize", "--preset", "fig4"], {"solver": {"n_starts": 40.5}}),
-        (["optimize", "--preset", "fig4"], {"solver": {"seed": 1.5}}),
-        (["optimize", "--preset", "fig4"], {"seed": 2.5}),
-        (["optimize", "--preset", "fig4"], {"solver": {"max_sweeps": 0}}),
-        (["simulate", "--preset", "fig4"], {"sim": {"n_slots": 1000.7}}),
-        (["simulate", "--preset", "fig4", "--slots", "10"], {"seed": 2.5}),
-        (["validate", "--preset", "fig4", "--slots", "10"], {"seed": True}),
+        (["simulate", "--preset", "fig4", "--slots", "0"], None, ""),
+        (["validate", "--preset", "fig4", "--slots", "0"], None, ""),
+        (["simulate", "--preset", "fig4"], {"sim": {"n_slots": "abc"}}, ""),
+        (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.1, 1.5]}}, ""),
+        (["analyze"], PHYSICS_CONFIG, ""),
+        (["optimize", "--preset", "fig4", "--seed", "-1"], None, ""),
+        (["analyze", "--preset", "fig4"], {"traffic": 5}, ""),
+        (["optimize", "--preset", "fig4"], {"solver": 3}, ""),
+        (["analyze", "--preset", "fig4"], {"policy": [1, 2]}, ""),
+        (["analyze", "--preset", "fig4"], {"profile": {"probabilities": 7}}, ""),
+        (["sweep", "--preset", "fig4"], {"sweep": 4}, ""),
+        (["simulate", "--preset", "fig4", "--slots", "10"], {"sim": 5}, ""),
+        (["optimize", "--preset", "fig4"], {"solver": {"n_starts": 40.5}}, ""),
+        (["optimize", "--preset", "fig4"], {"solver": {"seed": 1.5}}, ""),
+        (["optimize", "--preset", "fig4"], {"seed": 2.5}, ""),
+        (["optimize", "--preset", "fig4"], {"solver": {"max_sweeps": 0}}, ""),
+        (["simulate", "--preset", "fig4"], {"sim": {"n_slots": 1000.7}}, ""),
+        (["simulate", "--preset", "fig4", "--slots", "10"], {"seed": 2.5}, ""),
+        (["validate", "--preset", "fig4", "--slots", "10"], {"seed": True}, ""),
+        # "1e-3" is what YAML makes of an unquoted 1e-3 (no dot)
+        (["simulate", "--preset", "fig4", "--slots", "10"], {"traffic": {"lam_e": "1e-3"}},
+         "'traffic.lam_e' must be a number"),
+        (["analyze", "--preset", "fig4"], {"policy": {"p_sense": "0.5"}},
+         "'policy.p_sense' must be a number"),
+        (["analyze", "--preset", "fig4"], {"sensing": {"p_false_alarm": "0.1"}},
+         "'sensing.p_false_alarm' must be a number"),
+        (["analyze", "--preset", "fig4"], {"traffic": {"lam_p": [0.1, 0.2]}},
+         "'traffic.lam_p' must be a number"),
+        (["analyze", "--preset", "fig4"], {"traffic": {"lam_p": True}},
+         "'traffic.lam_p' must be a number"),
+        (["analyze", "--preset", "fig4", "--scheme", "random_access"],
+         {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
+        (["simulate", "--preset", "fig4", "--slots", "10", "--scheme", "random_access"],
+         {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
+        (["validate", "--preset", "fig4", "--slots", "10", "--scheme", "random_access"],
+         {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
          "solver-not-a-mapping", "policy-not-a-mapping", "probabilities-not-a-mapping",
          "sweep-not-a-mapping", "sim-not-a-mapping", "n-starts-not-an-integer",
          "solver-seed-not-an-integer", "seed-not-an-integer", "max-sweeps-not-a-field",
-         "n-slots-not-an-integer", "simulate-seed-not-an-integer", "validate-seed-a-bool"],
+         "n-slots-not-an-integer", "simulate-seed-not-an-integer", "validate-seed-a-bool",
+         "lam-e-a-string", "p-sense-a-string", "p-false-alarm-a-string", "lam-p-a-list",
+         "lam-p-a-bool", "random-access-sensing-analyze", "random-access-sensing-simulate",
+         "random-access-sensing-validate"],
 )
-def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config):
+def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write_yaml(tmp_path / "c.yaml", config)]
     proc = run_module(argv)
     assert proc.returncode == 1
-    assert any(line.startswith("config error: ") for line in proc.stderr.splitlines())
+    assert any(
+        line.startswith("config error: ") and message in line for line in proc.stderr.splitlines()
+    )
     assert "Traceback" not in proc.stderr

@@ -419,9 +419,10 @@ def test_solve_many_matches_oracle_on_random_problem_lists(problems):
     assert solve_many(problems, FAST) == [solve_per_start(p, FAST) for p in problems]
 
 
-#: lam_p values of a lockstep batch: 0.1671 is one where squaring 1 - lam_p
-#: elementwise rounds differently from the scalar path's pow() for many
-#: points, and 0 takes its own branch at eta ~ 1
+#: lam_p values of a lockstep batch: at 0.1671, (1 - lam_p) ** 2 through
+#: Python's pow() and through numpy's multiply round differently, so a closed
+#: form that squared with ** would give a scalar point other bits than its
+#: batch entry; 0 takes its own branch at eta ~ 1
 PER_POINT_LAM_P = (0.0, 0.0523, 0.1671, 0.3648)
 
 
@@ -439,8 +440,7 @@ def test_closed_forms_with_per_point_traffic_match_scalar_bitwise(scheme):
     gamma[near] = 1.0 - 1e-11 * rng.random(near.sum())
     bound = rng.choice([1.0, 1.5, 2.0, 5.0, math.inf], lam_p.size)
     if scheme is Scheme.FEEDBACK:
-        sq = np.array([fb.square_no_arrival(v) for v in PER_POINT_LAM_P])[owner]
-        batch = fb.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound, sq)
+        batch = fb.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
 
         def one(i):
             args = (lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
@@ -476,18 +476,11 @@ def test_gathered_problems_score_each_point_as_its_own_problem(
     rng = np.random.default_rng(5)
     X = np.vstack([rng.random((3000, d)), 1e-10 * rng.random((1000, d))])
     owner = rng.integers(len(problems), size=X.shape[0])
-    problem, sq = _point_problems(scheme, _problem_table(problems), owner)
-    batch = _merit(problem, X.T, sq)
+    problem = _point_problems(scheme, _problem_table(problems), owner)
+    batch = _merit(problem, X.T)
     for k, prob in enumerate(problems):
         own = owner == k
         assert batch[own].tobytes() == _merit(prob, X[own].T).tobytes()
-
-
-def test_square_no_arrival_takes_one_lam_p():
-    with pytest.raises(ValueError):
-        fb.square_no_arrival(np.array(PER_POINT_LAM_P))
-    with pytest.raises(ValueError):
-        fb.closed_forms(np.array([0.1, 0.2]), 0.9, 0.9)
 
 
 def test_optimizer_builds_its_policies_without_range_checks(
