@@ -336,12 +336,10 @@ def _sweep_tasks(cfg: dict):
         if any(g not in (0, 1, True, False) for g in grid):
             raise ConfigError("mpr_on grid values must be 0 or 1")
     else:
-        try:
-            vals = [float(g) for g in grid]
-        except (TypeError, ValueError):
-            raise ConfigError(f"sweep grid values must be numbers, got {grid!r}") from None
-        if any(b < a for a, b in zip(vals, vals[1:])) and any(
-            b > a for a, b in zip(vals, vals[1:])
+        if any(isinstance(g, bool) or not isinstance(g, (int, float)) for g in grid):
+            raise ConfigError(f"sweep grid values must be numbers, got {grid!r}")
+        if any(b < a for a, b in zip(grid, grid[1:])) and any(
+            b > a for a, b in zip(grid, grid[1:])
         ):
             raise ConfigError("sweep grid must be monotone")
     profile = _parse_profile(cfg)

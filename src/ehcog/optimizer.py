@@ -56,6 +56,7 @@ operand is a scalar or that scalar repeated in an array.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -116,6 +117,12 @@ TIE_TOL = 1e-12
 #: at 130k-195k, where its temporaries (~180 B a point in all) no longer fit
 #: in cache.  The cap also holds a scan's peak memory near 2 MB at any step.
 GRID_CHUNK = 1 << 14
+#: Joe & Kuo (2008) primitive polynomials and initial direction numbers of
+#: the first five Sobol dimensions, as in their new-joe-kuo-6.21201 table
+#: (the first dimension takes neither), and the bits of a Sobol coordinate
+SOBOL_POLY = (1, 3, 7, 11, 13)
+SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1))
+SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,9 @@ class SolverConfig:
     """The settings of solve().  Identical configs give identical results.
 
     n_starts    number of scrambled-Sobol initial points (>= 32)
-    seed        seed for the Sobol scrambling (>= 0)
+    seed        seed for the Sobol scrambling (>= 0); the points are those
+                of scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), drawn
+                without scipy (see _sobol_points)
 
     The search itself is fixed by the module constants MAX_SWEEPS,
     INIT_STEP, SHRINK, MIN_STEP, AUDIT_STEP and TIE_TOL.  The stability
@@ -215,6 +224,25 @@ def _merit(problem: OptProblem, cols):
         unstable_score = -2.0 - viol
         out = np.where(feasible, mu_s, np.where(stable, delay_score, unstable_score))
     return out
+
+
+@functools.cache
+def _keep_temporaries_on_heap() -> None:
+    """Free one untouched 16 MB block, once per process.
+
+    Every closed-form batch makes short-lived temporaries of 64-320 KB.
+    glibc malloc serves a block above its mmap threshold (128 KB at start)
+    by a fresh mmap, and trims free memory above its trim threshold off the
+    heap top, so without this each batch faults its temporaries' pages in
+    anew: about 60k minor page faults per fig4 sweep, against under 10 with
+    it.  Freeing an mmapped block raises the mmap threshold to the block's
+    size and the trim threshold to twice that (dynamic thresholds, see
+    mallopt(3)), so later temporaries reuse heap pages.  16 MB is far above
+    any temporary and below the 32 MB past which glibc stops raising them.
+    np.empty touches no page of the block, so this costs no memory; under
+    another allocator it is just a free.
+    """
+    np.empty(16 << 20, dtype=np.uint8)
 
 
 def _grid_values(step: float) -> np.ndarray:
@@ -316,6 +344,7 @@ def grid_oracle(problem: OptProblem, step: float) -> OptResult:
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
+    _keep_temporaries_on_heap()
     x, best, n_evals = _scan_grid(problem, step, True)
     meta = SolverMeta(n_starts=0, n_evals=n_evals, best_start=-1)
     return _finish(problem, x, x is not None, meta)
@@ -429,11 +458,50 @@ def _pattern_search(problems, owner, X0):
     return X, M, n_evals
 
 
-def _sobol_points(d: int, cfg: SolverConfig) -> np.ndarray:
-    """The config's n_starts scrambled Sobol points in [0, 1)^d."""
-    from scipy.stats import qmc  # deferred: the only scipy use, and slow to import
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, SOBOL_BITS) direction numbers of the first d Sobol dimensions,
+    m_j * 2**(SOBOL_BITS - 1 - j), where m_j follows the Bratley-Fox
+    recurrence of the dimension's polynomial from its initial numbers (the
+    first dimension is all ones)."""
+    v = np.ones((d, SOBOL_BITS), dtype=np.int64)
+    for k in range(1, d):
+        poly, m = SOBOL_POLY[k], SOBOL_POLY[k].bit_length() - 1
+        row = list(SOBOL_VINIT[k])
+        for j in range(m, SOBOL_BITS):
+            new = row[j - m]
+            for i in range(1, m + 1):
+                if (poly >> (m - i)) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        v[k] = row
+    return v << np.arange(SOBOL_BITS - 1, -1, -1)
 
-    return qmc.Sobol(d, scramble=True, seed=cfg.seed).random(cfg.n_starts)
+
+def _sobol_points(d: int, cfg: SolverConfig) -> np.ndarray:
+    """The config's n_starts scrambled Sobol points in [0, 1)^d.
+
+    These are the bits of scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=cfg.seed).random(n_starts).  np.random.default_rng(cfg.seed) draws
+    each dimension's digital shift (bits least significant first), then its
+    lower-triangular scrambling matrix, whose diagonal is set to one (linear
+    matrix scrambling, LMS).  Bit p of a scrambled direction number, most
+    significant first, is row p of the matrix times the number's bits, mod
+    2: one batched product for all numbers.  The points then walk in Gray-
+    code order from the shift, point k flipping the direction of the lowest
+    set bit of k.
+    """
+    bit = 1 << np.arange(SOBOL_BITS, dtype=np.int64)
+    msb_first = bit[::-1]
+    rng = np.random.default_rng(cfg.seed)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ bit
+    lms = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    lms[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+    v_bits = (_sobol_directions(d)[:, :, None] & msb_first) != 0  # (dim, j, bit)
+    scrambled = ((v_bits @ lms.transpose(0, 2, 1)) & 1) @ msb_first  # (dim, j)
+    k = np.arange(1, cfg.n_starts)
+    lowest = np.argmax((k[:, None] & bit) != 0, axis=1)
+    walk = np.bitwise_xor.accumulate(scrambled[:, lowest].T, axis=0)
+    return np.vstack([shift, shift ^ walk]) * (1.0 / (1 << SOBOL_BITS))
 
 
 def _start_points(problem: OptProblem, cfg: SolverConfig, sobol=None):
@@ -473,6 +541,7 @@ def solve_many(problems, config: SolverConfig | None = None) -> list[OptResult]:
     """
     cfg = config or SolverConfig()
     problems = list(problems)
+    _keep_temporaries_on_heap()
     results: list = [None] * len(problems)
     for scheme in Scheme:
         index = [k for k, p in enumerate(problems) if p.scheme is scheme]

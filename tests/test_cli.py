@@ -345,6 +345,10 @@ PHYSICS_CONFIG = {
          {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
         (["validate", "--preset", "fig4", "--slots", "10", "--scheme", "random_access"],
          {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
+        (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [True, 0.1]}},
+         "sweep grid values must be numbers"),
+        (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.05, "0.1"]}},
+         "sweep grid values must be numbers"),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
@@ -354,7 +358,7 @@ PHYSICS_CONFIG = {
          "n-slots-not-an-integer", "simulate-seed-not-an-integer", "validate-seed-a-bool",
          "lam-e-a-string", "p-sense-a-string", "p-false-alarm-a-string", "lam-p-a-list",
          "lam-p-a-bool", "random-access-sensing-analyze", "random-access-sensing-simulate",
-         "random-access-sensing-validate"],
+         "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, message):
     if config is not None:
@@ -365,3 +369,24 @@ def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, mes
         line.startswith("config error: ") and message in line for line in proc.stderr.splitlines()
     )
     assert "Traceback" not in proc.stderr
+
+
+#: runs cli.main on its arguments and prints the exit code and whether any
+#: scipy module got imported
+SCIPY_PROBE = """
+import contextlib, io, sys
+from ehcog.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "--preset", "fig4", "--scheme", "feedback"], ["sweep", "--preset", "fig8"]],
+    ids=["optimize", "sweep"],
+)
+def test_solver_commands_do_not_import_scipy(argv):
+    proc = run_python(["-c", SCIPY_PROBE, *argv])
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -1,4 +1,6 @@
+import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from ehcog import optimizer, params
 from ehcog.cli import _sweep_tasks
 from ehcog.nofeedback import DELAY_SLACK
 from ehcog.optimizer import (
+    SOBOL_POLY,
+    SOBOL_VINIT,
     VAR_NAMES,
     _directions,
     _grid_chunks,
@@ -34,6 +38,7 @@ from ehcog.optimizer import (
     _policy_from_vector,
     _problem_table,
     _scan_grid,
+    _sobol_points,
     _start_points,
     _vector_from_policy,
 )
@@ -228,7 +233,6 @@ def test_policies_stay_in_the_unit_box(preset_profile, preset_sensing):
             assert res.policy.p_access_busy == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 def test_meta_accounting(preset_profile, preset_sensing):
     prob = make_problem(preset_profile, preset_sensing, Scheme.RANDOM_ACCESS, 0.126, 2.0)
     cfg = SolverConfig(n_starts=40, seed=3)
@@ -362,7 +366,6 @@ def test_batched_closed_forms_match_scalar_analyze_bitwise(scheme, lam_p):
     assert n_degenerate > 0 or scheme is Scheme.NOFEEDBACK
 
 
-@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 @pytest.mark.parametrize("max_sweeps", [None, 3], ids=["full", "capped"])
 @pytest.mark.parametrize("lam_p", [0.0, 0.126, 0.3, 0.65])
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -400,7 +403,6 @@ def test_lockstep_solve_matches_oracle_on_random_problems(prob):
     assert solve(prob, FAST) == solve_per_start(prob, FAST)
 
 
-@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 @pytest.mark.parametrize("max_sweeps", [None, 3], ids=["full", "capped"])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_solve_many_matches_per_start_oracle_on_preset_sweeps(preset, max_sweeps, monkeypatch):
@@ -412,7 +414,6 @@ def test_solve_many_matches_per_start_oracle_on_preset_sweeps(preset, max_sweeps
     assert solve_many(problems, cfg) == [solve_per_start(p, cfg) for p in problems]
 
 
-@pytest.mark.filterwarnings("ignore:The balance properties of Sobol")
 @settings(max_examples=10, deadline=None)
 @given(problems=st.lists(random_problems, min_size=1, max_size=4))
 def test_solve_many_matches_oracle_on_random_problem_lists(problems):
@@ -567,3 +568,35 @@ def test_solve_many_memory_is_bounded():
     # fig4's 42 problems in one unblocked lockstep search peaked at ~9.5 MB
     tasks, cfg = _sweep_tasks(get_preset("fig4"))
     assert traced_peak(solve_many, [t[3] for t in tasks], cfg) < 4 * 2**20
+
+
+# scipy.stats.qmc is the reference for the Sobol starts, at test time only
+@pytest.mark.parametrize("seed", [0, 1, 7, 31, 12345, 2**63 - 1])
+@pytest.mark.parametrize("d", [1, 4, 5])
+def test_sobol_points_match_scipy_bitwise(d, seed):
+    from scipy.stats import qmc
+
+    for n in (32, 40, 64, 100):
+        with warnings.catch_warnings():
+            # scipy warns when n is not a power of 2
+            warnings.filterwarnings("ignore", "The balance properties of Sobol")
+            want = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sobol_points(d, SolverConfig(n_starts=n, seed=seed))
+        assert got.shape == want.shape == (n, d)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_sobol_constants_are_the_joe_kuo_direction_numbers():
+    # the table scipy ships: one row per dimension, vinit zero-padded
+    npz = importlib.resources.files("scipy.stats") / "_sobol_direction_numbers.npz"
+    with importlib.resources.as_file(npz) as path, np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    d = len(SOBOL_POLY)
+    assert d == len(SOBOL_VINIT) >= max(map(len, VAR_NAMES.values()))
+    assert poly[:d].tolist() == list(SOBOL_POLY)
+    for k, row in enumerate(SOBOL_VINIT):
+        assert vinit[k].tolist() == list(row) + [0] * (vinit.shape[1] - len(row))
+        # one initial number per degree of the polynomial
+        assert k == 0 or len(row) == SOBOL_POLY[k].bit_length() - 1
