@@ -200,7 +200,10 @@ def _parse_profile(cfg: dict) -> OutageProfile:
                 f"unknown power_mode {phys.get('power_mode')!r}; expected one of "
                 f"{[m.value for m in PowerMode]}"
             ) from None
-        return build_profile(primary, secondary, cross, mode)
+        try:
+            return build_profile(primary, secondary, cross, mode)
+        except ValueError as e:
+            raise ConfigError(f"invalid value in 'profile.physics': {e}") from None
     raise ConfigError("'profile' must contain 'probabilities' or 'physics'")
 
 
@@ -263,31 +266,18 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         w.writerows(rows)
 
 
-def _analysis_row(scheme, traffic, report) -> list:
-    return [
-        scheme.value,
-        _fmt(float(traffic.lam_p)), _fmt(float(traffic.lam_s)),
-        _fmt(float(traffic.lam_e)), _fmt(float(traffic.delay_bound)),
-        _fmt(report.mu_p), _fmt(report.mu_s), _fmt(report.nu0), _fmt(report.delay),
-        _fmt(report.primary_stable), _fmt(report.delay_feasible),
-        _fmt(report.secondary_stable),
-    ]
-
-
-def _print_report(report) -> None:
-    for name in ("mu_p", "mu_s", "nu0", "delay", "primary_stable",
-                 "delay_feasible", "secondary_stable"):
-        print(f"{name}: {_fmt(getattr(report, name))}")
-
-
 def cmd_analyze(cfg: dict) -> int:
     scheme, profile, sensing, traffic, policy = _parse_point(cfg)
     mod = feedback if scheme is Scheme.FEEDBACK else nofeedback
     report = mod.analyze(profile, policy, sensing, traffic)
+    row = [scheme.value,
+           *(_fmt(float(getattr(traffic, name))) for name in ANALYZE_HEADER[1:5]),
+           *(_fmt(getattr(report, name)) for name in ANALYZE_HEADER[5:])]
     print(f"scheme: {scheme.value}")
-    _print_report(report)
+    for name, value in zip(ANALYZE_HEADER[5:], row[5:]):
+        print(f"{name}: {value}")
     if cfg.get("out"):
-        _write_csv(cfg["out"], ANALYZE_HEADER, [_analysis_row(scheme, traffic, report)])
+        _write_csv(cfg["out"], ANALYZE_HEADER, [row])
     return 0 if report.primary_stable and report.delay_feasible else 2
 
 
@@ -387,19 +377,14 @@ def cmd_simulate(cfg: dict) -> int:
     except ValueError:
         raise ConfigError(f"unknown sim semantics {sim_cfg.get('semantics')!r}") from None
     stats = simulator.run(scheme, policy, profile, sensing, traffic, semantics, n_slots, seed)
-    for name in ("mu_p_hat", "mu_s_hat", "mu_e_hat", "delay_hat", "mean_queue_p",
-                 "mean_queue_s", "empty_frac_p", "retx_frac", "lam_p_hat"):
-        print(f"{name}: {_fmt(getattr(stats, name))}")
+    # the ci_* columns are the half-widths of the statistics they name
+    row = [scheme.value, semantics.value, str(n_slots), str(seed),
+           *(_fmt(getattr(stats, name)) for name in SIM_HEADER[4:13]),
+           *(_fmt(stats.ci_halfwidths[name[3:]]) for name in SIM_HEADER[13:])]
+    for name, value in zip(SIM_HEADER[4:13], row[4:13]):
+        print(f"{name}: {value}")
     print(f"drift_detected: {_fmt(stats.drift_detected)}")
     if cfg.get("out"):
-        row = [
-            scheme.value, semantics.value, str(n_slots), str(seed),
-            _fmt(stats.mu_p_hat), _fmt(stats.mu_s_hat), _fmt(stats.mu_e_hat),
-            _fmt(stats.delay_hat), _fmt(stats.mean_queue_p), _fmt(stats.mean_queue_s),
-            _fmt(stats.empty_frac_p), _fmt(stats.retx_frac), _fmt(stats.lam_p_hat),
-            _fmt(stats.ci_halfwidths["mu_p_hat"]), _fmt(stats.ci_halfwidths["mu_s_hat"]),
-            _fmt(stats.ci_halfwidths["delay_hat"]), _fmt(stats.ci_halfwidths["empty_frac_p"]),
-        ]
         _write_csv(cfg["out"], SIM_HEADER, [row])
     return 0
 

@@ -14,10 +14,14 @@ solve() is a multi-start pattern search over a tiered merit function
 (feasible points score their throughput, delay violators score in [-2,-1),
 unstable points below -2), seeded with scrambled Sobol points plus the all-
 zero and all-one corners plus the best point of a coarse internal audit
-grid, so the result can never fall below that grid.  grid_oracle() is the
-brute-force reference used by the acceptance tests.  Both are deterministic
-for a fixed config.  The objective is smooth but nonconvex, hence the
-derivative-free search; dimension is at most 5.
+grid, so the result can never fall below that grid.  A grid scores mu_s at
+feasible points and -inf elsewhere.  The silent policy lies on every grid
+and maximises mu_p (alpha and gamma under feedback), so if it fails the
+constraints every policy does: an audit grid with no feasible point ends
+solve() without a search.  grid_oracle() is the brute-force reference used
+by the acceptance tests.  Both are deterministic for a fixed config.  The
+objective is smooth but nonconvex, hence the derivative-free search;
+dimension is at most 5.
 
 The search is fixed by module constants, not by config: MAX_SWEEPS sweeps
 per start at most, probe steps from INIT_STEP shrinking by SHRINK until a
@@ -158,7 +162,7 @@ class SolverConfig:
 class SolverMeta:
     n_starts: int
     n_evals: int
-    best_start: int  # index into the start list; -1 for grid_oracle results
+    best_start: int  # index into the start list; -1 when no search ran (grid_oracle, infeasible)
 
 
 @dataclass(frozen=True)
@@ -270,20 +274,17 @@ def _grid_chunks(vals: np.ndarray, d: int):
         yield (*prefix, *axes)
 
 
-def _grid_score(problem, cols, feasible_only):
-    """Score of a grid chunk: mu_s at feasible points and -inf elsewhere if
-    feasible_only, else the merit."""
-    if feasible_only:
-        mu_s, _, _, _, feas = _evaluate(problem, cols)
-        return np.where(feas, mu_s, -math.inf)
-    return _merit(problem, cols)
+def _grid_score(problem, cols):
+    """Score of a grid chunk: mu_s at feasible points and -inf elsewhere."""
+    mu_s, _, _, _, feas = _evaluate(problem, cols)
+    return np.where(feas, mu_s, -math.inf)
 
 
-def _scan_grid(problem, step, feasible_only):
+def _scan_grid(problem, step):
     """Exhaustive grid scan: one scoring pass plus one re-scored chunk.
 
-    The pass records each chunk's best score (mu_s over feasible points if
-    feasible_only, else the merit).  The first chunk within TIE_TOL of the
+    The pass records each chunk's best score (_grid_score), -inf for a chunk
+    with no feasible point.  The first chunk within TIE_TOL of the
     overall best is scored again and its first point within TIE_TOL, in
     lexicographic order, is the winner.  Returns (x or None, best_score,
     n_evals), n_evals counting every grid point once.
@@ -300,7 +301,7 @@ def _scan_grid(problem, step, feasible_only):
     vals = _grid_values(step)
     n_evals = len(vals) ** d
     chunk_best = np.fromiter(
-        (np.max(_grid_score(problem, cols, feasible_only)) for cols in _grid_chunks(vals, d)),
+        (np.max(_grid_score(problem, cols)) for cols in _grid_chunks(vals, d)),
         dtype=float,
     )
     best = float(np.max(chunk_best))
@@ -309,15 +310,16 @@ def _scan_grid(problem, step, feasible_only):
     k = int(np.argmax(chunk_best >= best - TIE_TOL))
     cols = next(itertools.islice(_grid_chunks(vals, d), k, None))
     shape = np.broadcast_shapes(*map(np.shape, cols))
-    score = np.broadcast_to(_grid_score(problem, cols, feasible_only), shape).ravel()
+    score = np.broadcast_to(_grid_score(problem, cols), shape).ravel()
     hit = int(np.argmax(score >= best - TIE_TOL))
     return np.array([np.broadcast_to(c, shape).flat[hit] for c in cols]), best, n_evals
 
 
-def _finish(problem: OptProblem, x, feasible: bool, meta: SolverMeta) -> OptResult:
-    """Package a winner (or the silent policy when infeasible), recomputing
-    the reported figures through the public scalar analysis path so they
-    match later hand recomputation bit for bit."""
+def _finish(problem: OptProblem, x, meta: SolverMeta) -> OptResult:
+    """Package a winner, or the silent policy as infeasible when x is None,
+    recomputing the reported figures through the public scalar analysis
+    path so they match later hand recomputation bit for bit."""
+    feasible = x is not None
     if not feasible:
         x = np.zeros(_dim(problem.scheme))
     policy = _policy_from_vector(problem.scheme, [float(v) for v in x])
@@ -345,9 +347,8 @@ def grid_oracle(problem: OptProblem, step: float) -> OptResult:
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     _keep_temporaries_on_heap()
-    x, best, n_evals = _scan_grid(problem, step, True)
-    meta = SolverMeta(n_starts=0, n_evals=n_evals, best_start=-1)
-    return _finish(problem, x, x is not None, meta)
+    x, _, n_evals = _scan_grid(problem, step)
+    return _finish(problem, x, SolverMeta(n_starts=0, n_evals=n_evals, best_start=-1))
 
 
 def _directions(d: int) -> np.ndarray:
@@ -505,20 +506,26 @@ def _sobol_points(d: int, cfg: SolverConfig) -> np.ndarray:
 
 
 def _start_points(problem: OptProblem, cfg: SolverConfig, sobol=None):
-    """The (n_starts + 3, d) start matrix of a problem and the evaluations
-    its audit grid spent.  sobol is _sobol_points of the problem's scheme,
-    which every problem of that scheme shares; it is drawn here if not
-    given."""
+    """The (n_starts + 3, d) start matrix of a problem, with no rows if its
+    audit grid holds no feasible point, and the evaluations that grid spent.
+    sobol is _sobol_points of the problem's scheme, which every problem of
+    that scheme shares; it is drawn here if not given."""
     d = _dim(problem.scheme)
+    audit_x, _, audit_evals = _scan_grid(problem, AUDIT_STEP)
+    if audit_x is None:
+        return np.empty((0, d)), audit_evals
     if sobol is None:
         sobol = _sobol_points(d, cfg)
-    audit_x, _, audit_evals = _scan_grid(problem, AUDIT_STEP, False)
     starts = np.vstack([audit_x, np.zeros(d), np.ones(d), sobol])
     return starts, audit_evals
 
 
 def _pick(problem: OptProblem, X, M, n_evals: int) -> OptResult:
-    """Best start by merit, ties within TIE_TOL broken lexicographically."""
+    """Best start by merit, ties within TIE_TOL broken lexicographically; it
+    is feasible, as the audit start is and no start's merit ever falls.  No
+    starts mean an infeasible problem."""
+    if not len(X):
+        return _finish(problem, None, SolverMeta(n_starts=0, n_evals=n_evals, best_start=-1))
     best_m = max(M)
     best_i = -1
     best_x = None
@@ -526,18 +533,17 @@ def _pick(problem: OptProblem, X, M, n_evals: int) -> OptResult:
         if m >= best_m - TIE_TOL:
             if best_x is None or tuple(x) < tuple(best_x):
                 best_i, best_x = i, x
-    meta = SolverMeta(n_starts=len(X), n_evals=n_evals, best_start=best_i)
-    return _finish(problem, best_x, bool(best_m >= 0.0), meta)
+    return _finish(problem, best_x, SolverMeta(n_starts=len(X), n_evals=n_evals, best_start=best_i))
 
 
 def solve_many(problems, config: SolverConfig | None = None) -> list[OptResult]:
     """solve() for every problem of a list, in the list's order.
 
     The problems are grouped by scheme.  Each problem gets the start list
-    solve() describes, and all starts of a group, over all its problems,
-    are searched in one lockstep pattern search.  Every start still follows
-    exactly the path it follows when its problem is solved alone, so
-    solve_many(ps, c)[k] == solve(ps[k], c).
+    solve() describes (none if infeasible), and all starts of a group, over
+    all its problems, are searched in one lockstep pattern search.  Every
+    start still follows exactly the path it follows when its problem is
+    solved alone, so solve_many(ps, c)[k] == solve(ps[k], c).
     """
     cfg = config or SolverConfig()
     problems = list(problems)
@@ -550,10 +556,10 @@ def solve_many(problems, config: SolverConfig | None = None) -> list[OptResult]:
         group = [problems[k] for k in index]
         sobol = _sobol_points(_dim(scheme), cfg)
         starts, audit_evals = zip(*(_start_points(p, cfg, sobol) for p in group))
-        n = len(starts[0])
-        X, M, used = _pattern_search(group, np.repeat(np.arange(len(group)), n), np.vstack(starts))
+        owner = np.repeat(np.arange(len(group)), [len(x0) for x0 in starts])
+        X, M, used = _pattern_search(group, owner, np.vstack(starts))
         for j, k in enumerate(index):
-            rows = slice(j * n, (j + 1) * n)
+            rows = owner == j
             results[k] = _pick(group[j], X[rows], M[rows], audit_evals[j] + int(used[rows].sum()))
     return results
 
@@ -561,11 +567,13 @@ def solve_many(problems, config: SolverConfig | None = None) -> list[OptResult]:
 def solve(problem: OptProblem, config: SolverConfig | None = None) -> OptResult:
     """Multi-start pattern search for the best policy of the given problem.
 
-    The start list is: the best merit point of the internal audit grid, the
+    The start list is: the best point of the internal audit grid, the
     all-zero (silent) and all-one corners, then config.n_starts scrambled
-    Sobol points.  Because the silent policy maximises the primary service
-    rate and minimises its delay, the problem is feasible iff the silent
-    start lands in the feasible tier, so infeasibility detection is exact.
+    Sobol points.  The silent policy is on the audit grid and maximises the
+    primary service rate, so the problem is feasible iff that grid holds a
+    feasible point, and infeasibility detection is exact.  An infeasible
+    problem gets grid_oracle()'s answer without a search: the silent policy,
+    feasible=False and SolverMeta(0, <audit grid size>, -1).
 
     All starts are searched in lockstep (see solve_many).  The closed forms
     are elementwise, so every point scores exactly as it would in a batch

@@ -90,7 +90,7 @@ class CrossSnr:
     pri_at_sec_rx: float
 
     def __post_init__(self):
-        if self.sec_at_primary_rx < 0 or self.pri_at_sec_rx < 0:
+        if not (self.sec_at_primary_rx >= 0 and self.pri_at_sec_rx >= 0):
             raise ValueError("cross SNRs must be >= 0")
 
 

@@ -219,14 +219,14 @@ def _grid_points(vals, d, chunk):
             yield X
 
 
-def scan_grid_points(problem, step, feasible_only):
+def scan_grid_points(problem, step):
     """Two-pass grid scan over materialised (n, d) point matrices: the
     reference for the broadcast one-pass scan in ehcog.optimizer, with
     GRID_CHUNK and TIE_TOL read from that module at call time.
 
-    Pass 1 finds the best score (mu_s over feasible points if feasible_only,
-    else the merit); pass 2 returns the first point in lexicographic order
-    scoring within TIE_TOL of it.  Returns (x or None, best, n_evals).
+    Pass 1 finds the best mu_s over feasible points; pass 2 returns the
+    first feasible point in lexicographic order scoring within TIE_TOL of
+    it.  Returns (x or None, best, n_evals).
     """
     from ehcog import optimizer
 
@@ -236,20 +236,14 @@ def scan_grid_points(problem, step, feasible_only):
     n_evals = 0
     for X in _grid_points(vals, d, optimizer.GRID_CHUNK):
         n_evals += X.shape[0]
-        if feasible_only:
-            mu_s, _, _, _, feas = optimizer._evaluate(problem, X.T)
-            if np.any(feas):
-                best = max(best, float(np.max(mu_s[feas])))
-        else:
-            best = max(best, float(np.max(optimizer._merit(problem, X.T))))
+        mu_s, _, _, _, feas = optimizer._evaluate(problem, X.T)
+        if np.any(feas):
+            best = max(best, float(np.max(mu_s[feas])))
     if not math.isfinite(best):
         return None, best, n_evals
     for X in _grid_points(vals, d, optimizer.GRID_CHUNK):
-        if feasible_only:
-            mu_s, _, _, _, feas = optimizer._evaluate(problem, X.T)
-            score = np.where(feas, mu_s, -math.inf)
-        else:
-            score = optimizer._merit(problem, X.T)
+        mu_s, _, _, _, feas = optimizer._evaluate(problem, X.T)
+        score = np.where(feas, mu_s, -math.inf)
         hits = np.flatnonzero(score >= best - optimizer.TIE_TOL)
         if hits.size:
             return X[hits[0]].copy(), best, n_evals
@@ -257,10 +251,13 @@ def scan_grid_points(problem, step, feasible_only):
 
 
 def solve_per_start(problem, cfg):
-    """solve() with every start searched on its own by pattern_search_one."""
-    from ehcog.optimizer import _pick, _start_points
+    """solve() with every start searched on its own by pattern_search_one,
+    and no search when the audit grid holds no feasible point."""
+    from ehcog.optimizer import SolverMeta, _finish, _pick, _start_points
 
     starts, audit_evals = _start_points(problem, cfg)
+    if not len(starts):
+        return _finish(problem, None, SolverMeta(0, audit_evals, -1))
     runs = [pattern_search_one(problem, x0) for x0 in starts]
     X = np.array([x for x, _, _ in runs])
     M = [m for _, m, _ in runs]

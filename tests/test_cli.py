@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -88,7 +89,7 @@ def test_analyze_csv_byte_identical(tmp_path, capsys):
     run_cli(capsys, ["analyze", "--preset", "fig4", "--out", str(out1)])
     run_cli(capsys, ["analyze", "--preset", "fig4", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
-    rows = list(csv.reader(out1.open()))
+    rows = list(csv.reader(out1.read_text().splitlines()))
     assert rows[0] == ANALYZE_HEADER
     assert len(rows) == 2
     row = dict(zip(rows[0], rows[1]))
@@ -146,8 +147,6 @@ def test_profile_from_physics(tmp_path, capsys):
     path = write_yaml(tmp_path / "phys.yaml", cfg)
     code, out, _ = run_cli(capsys, ["analyze", "--config", path])
     assert code == 0
-    import math
-
     assert float(parse_kv(out)["mu_p"]) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
@@ -199,7 +198,7 @@ def test_sweep_csv_schema_and_determinism(tmp_path, capsys):
     assert code == 0
     run_cli(capsys, args + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
-    rows = list(csv.reader(out1.open()))
+    rows = list(csv.reader(out1.read_text().splitlines()))
     assert rows[0] == OPT_HEADER
     body = [dict(zip(OPT_HEADER, r)) for r in rows[1:]]
     assert [r["scheme"] for r in body] == [
@@ -244,7 +243,7 @@ def test_simulate_writes_csv(tmp_path, capsys):
     vals = parse_kv(stdout)
     assert float(vals["mu_s_hat"]) == pytest.approx(0.3154, abs=0.02)
     assert vals["drift_detected"] == "false"
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == SIM_HEADER
     row = dict(zip(SIM_HEADER, rows[1]))
     assert row["n_slots"] == "20000" and row["semantics"] == "exact"
@@ -306,6 +305,14 @@ PHYSICS_CONFIG = {
 }
 
 
+def physics_config(cross, **primary):
+    """PHYSICS_CONFIG with a valid power mode, the cross SNRs cross, and the
+    primary link's fields in primary replaced."""
+    physics = dict(PHYSICS_CONFIG["profile"]["physics"], power_mode="fixed_energy", cross=cross)
+    physics["primary"] = {**physics["primary"], **primary}
+    return {**PHYSICS_CONFIG, "profile": {"physics": physics}}
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -349,6 +356,12 @@ PHYSICS_CONFIG = {
          "sweep grid values must be numbers"),
         (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.05, "0.1"]}},
          "sweep grid values must be numbers"),
+        (["analyze"], physics_config({"sec_at_primary_rx": math.nan, "pri_at_sec_rx": 2.0}),
+         "invalid value in 'physics.cross'"),
+        # 0 bits over an infinitely strong interferer: 0 * inf gives a NaN probability
+        (["analyze"],
+         physics_config({"sec_at_primary_rx": math.inf, "pri_at_sec_rx": 2.0}, bits_per_packet=0.0),
+         "invalid value in 'profile.physics'"),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
@@ -358,7 +371,8 @@ PHYSICS_CONFIG = {
          "n-slots-not-an-integer", "simulate-seed-not-an-integer", "validate-seed-a-bool",
          "lam-e-a-string", "p-sense-a-string", "p-false-alarm-a-string", "lam-p-a-list",
          "lam-p-a-bool", "random-access-sensing-analyze", "random-access-sensing-simulate",
-         "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string"],
+         "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string",
+         "cross-snr-nan", "physics-zero-times-inf"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, message):
     if config is not None:

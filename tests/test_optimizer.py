@@ -28,6 +28,7 @@ from ehcog.nofeedback import DELAY_SLACK
 from ehcog.optimizer import (
     SOBOL_POLY,
     SOBOL_VINIT,
+    SolverMeta,
     VAR_NAMES,
     _directions,
     _grid_chunks,
@@ -242,6 +243,12 @@ def test_meta_accounting(preset_profile, preset_sensing):
     assert res.meta.n_evals > res.meta.n_starts
     g = grid_oracle(prob, step=0.5)
     assert g.meta.best_start == -1 and g.meta.n_evals == 3  # one scoring pass
+    # an audit grid with no feasible point ends solve() without a search
+    tasks, solver_cfg = _sweep_tasks(get_preset("fig4"))
+    (prob,) = [t[3] for t in tasks if t[1] == 0.65 and t[2] is Scheme.FEEDBACK]
+    res = solve(prob, solver_cfg)
+    assert not res.feasible
+    assert res.meta == SolverMeta(0, 11**5, -1)
 
 
 def test_config_validation():
@@ -326,9 +333,13 @@ def test_fig4_rows_in_the_delay_slack_agree_with_analyze(scheme, lam_p):
 @given(prob=random_problems)
 def test_feasible_is_analyze_delay_feasible(prob):
     mod = fb if prob.scheme is Scheme.FEEDBACK else nofb
+    # the rule behind solve()'s early-out: the silent policy maximises mu_p,
+    # so it is feasible iff any policy is, and it lies on every grid
+    silent = _policy_from_vector(prob.scheme, [0.0] * len(VAR_NAMES[prob.scheme]))
+    silent_feasible = mod.analyze(prob.profile, silent, prob.sensing, prob.traffic).delay_feasible
     for res in (solve(prob, FAST), grid_oracle(prob, step=0.1)):
         rep = mod.analyze(prob.profile, res.policy, prob.sensing, prob.traffic)
-        assert res.feasible == rep.delay_feasible
+        assert res.feasible == rep.delay_feasible == silent_feasible
         if res.feasible:
             assert same_bits(res.mu_s, rep.mu_s)
 
@@ -497,17 +508,16 @@ def test_optimizer_builds_its_policies_without_range_checks(
     assert len(calls) == 5
 
 
-@pytest.mark.parametrize("feasible_only", [False, True])
 @pytest.mark.parametrize("lam_p", [0.0, 0.126, 0.65])
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_chunked_grid_scan_matches_whole_grid(
-    scheme, lam_p, feasible_only, preset_profile, preset_sensing, monkeypatch
+    scheme, lam_p, preset_profile, preset_sensing, monkeypatch
 ):
     prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
     scans = []
     for chunk in (11 ** len(VAR_NAMES[scheme]), optimizer.GRID_CHUNK, 1000):
         monkeypatch.setattr(optimizer, "GRID_CHUNK", chunk)
-        scans.append(_scan_grid(prob, 0.1, feasible_only))
+        scans.append(_scan_grid(prob, 0.1))
     whole = scans[0]
     for x, best, n in scans[1:]:
         assert (best, n) == whole[1:]
@@ -522,13 +532,12 @@ def test_chunked_grid_scan_matches_whole_grid(
 def test_broadcast_grid_scan_matches_point_matrix_oracle(prob):
     # step 0.3 leaves a short last cell: the axis is 0, 0.3, 0.6, 0.9, 1
     for step in (0.1, 0.25, 0.3):
-        for feasible_only in (False, True):
-            x, best, n = _scan_grid(prob, step, feasible_only)
-            ref_x, ref_best, ref_n = scan_grid_points(prob, step, feasible_only)
-            assert same_bits(best, ref_best) and n == ref_n
-            assert (x is None) == (ref_x is None)
-            if x is not None:
-                assert x.tobytes() == ref_x.tobytes()
+        x, best, n = _scan_grid(prob, step)
+        ref_x, ref_best, ref_n = scan_grid_points(prob, step)
+        assert same_bits(best, ref_best) and n == ref_n
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert x.tobytes() == ref_x.tobytes()
 
 
 def test_grid_oracle_rescores_only_the_winning_chunk(
