@@ -261,17 +261,25 @@ def _grid_values(step: float) -> np.ndarray:
 
 def _grid_chunks(vals: np.ndarray, d: int):
     """Yield the full Cartesian grid in lexicographic order, in chunks of at
-    most GRID_CHUNK points (or single points when one axis alone exceeds
-    it).  A chunk is its d policy columns: the outer prefix as scalars, then
-    the inner axes as an open grid (np.ix_), whose broadcast shape, read in
-    C order, lists the chunk's points lexicographically."""
+    most GRID_CHUNK points.  A chunk is its d policy columns: the outer
+    prefix as scalars, then the inner axes as an open grid (np.ix_), whose
+    broadcast shape, read in C order, lists the chunk's points
+    lexicographically.  The inner axes are the whole trailing axes that fit
+    in GRID_CHUNK; when k >= 2 copies of them still fit, the axis before them
+    is walked in slices of k values, so the chunks stay full."""
     m = len(vals)
     inner = 0
     while inner < d and m ** (inner + 1) <= GRID_CHUNK:
         inner += 1
-    axes = np.ix_(*[vals] * inner)
+    k = GRID_CHUNK // m**inner
+    if inner < d and k > 1:
+        heads = [np.ix_(vals[i : i + k], *[vals] * inner) for i in range(0, m, k)]
+        inner += 1
+    else:
+        heads = [np.ix_(*[vals] * inner)]
     for prefix in itertools.product(vals, repeat=d - inner):
-        yield (*prefix, *axes)
+        for axes in heads:
+            yield (*prefix, *axes)
 
 
 def _grid_score(problem, cols):

@@ -27,20 +27,25 @@ Semantics variants:
               closed-form rate/delay expressions describe exactly this
               variant.
 
-Randomness comes from one Philox substream per decision category, all drawn
-up front, so runs with the same seed see identical inputs in both semantics
-(common random numbers) and results are reproducible bit for bit.
+Randomness comes from one Philox substream per decision category, so runs
+with the same seed see identical inputs in both semantics (common random
+numbers) and results are reproducible bit for bit.
 
-Statistics: every draw is turned into per-slot flags before the slot loop,
-including the secondary's outcome in each state it can find (primary on,
-primary off, retransmission slot).  The loop then carries only the queue
-lengths, the battery and the NACK flag, and writes one record byte per slot.
-Every statistic is computed afterwards from that record with numpy: queue
-lengths from cumulative sums, delays by matching the k-th departure with
-the k-th arrival (the queue is FIFO), and batch and decile sums with
-np.add.reduceat.  Each sum is a float sum of integers below 2**53, which is
-exact in any order, so the figures carry the same bits as sums made slot by
-slot.
+Streaming: a run walks its slots in blocks of BLOCK_SLOTS.  Each block draws
+its slice of every stream (a Philox stream drawn in pieces continues
+exactly, so the draws do not depend on the block size) and turns the draws
+into per-slot flags, including the secondary's outcome in each state it can
+find (primary on, primary off, retransmission slot).  The slot loop carries
+only the queue lengths, the battery and the NACK flag from slot to slot and
+block to block, and writes one record byte per slot.  The block's
+statistics are then computed from its record with numpy and folded into
+running sums: queue lengths from cumulative sums started at the block's
+first queue lengths, delays by matching the k-th departure with the k-th
+arrival (the queue is FIFO; the arrival slots of packets still queued cross
+to the next block), and batch and decile sums with np.add.reduceat.  Each
+sum is a float sum of integers below 2**53, which is exact in any order, so
+the figures carry the same bits as sums made slot by slot.  A run's memory
+is one block's, plus 8 bytes per packet in the primary queue.
 """
 from __future__ import annotations
 
@@ -75,6 +80,7 @@ STREAMS = (
 RNG_NAME = "philox(seed).spawn per category: " + ",".join(STREAMS)
 
 N_BATCHES = 30
+BLOCK_SLOTS = 1 << 14  # slots per streamed block
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -139,11 +145,14 @@ def _batch_mean_ci(values, weights) -> tuple[float, float]:
     return est, half
 
 
-def _length_at_start(joins, leaves):
-    """Queue length at the start of each slot from its per-slot 0/1 joins
-    and departures; a join counts from the next slot on."""
-    q = np.zeros(joins.size, np.int64)
+def _length_at_start(joins, leaves, first):
+    """Queue length at the start of each slot of a block from its per-slot
+    0/1 joins and departures, given the length at the block's first slot; a
+    join counts from the next slot on."""
+    q = np.empty(joins.size, np.int64)
+    q[0] = first
     np.cumsum(np.subtract(joins[:-1], leaves[:-1], dtype=np.int8), dtype=np.int64, out=q[1:])
+    q[1:] += first
     return q
 
 
@@ -156,35 +165,19 @@ def _segment_sums(x, bounds):
     return sums
 
 
-def run(
-    scheme: Scheme,
-    policy: PolicyNoFb,
-    profile: OutageProfile,
-    sensing: SensingQuality,
-    traffic: TrafficParams,
-    semantics: SimSemantics = SimSemantics.EXACT,
-    n_slots: int = 1_000_000,
-    seed: int = 0,
-) -> SimStats:
-    """Simulate n_slots slots and return the measured statistics."""
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    use_feedback = scheme is Scheme.FEEDBACK
-    if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0.0:
-        raise ValueError("random access requires p_sense = 0")
-    if use_feedback and not isinstance(policy, PolicyFb):
-        raise ValueError("feedback scheme needs a PolicyFb")
-    backlogged = semantics is SimSemantics.BACKLOGGED
-
-    gens = {
-        name: np.random.Generator(np.random.Philox(s))
-        for name, s in zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS)))
-    }
+def _block_inputs(gens, n, use_feedback, policy, profile, sensing, traffic):
+    """The per-slot flags of the next n slots, from the next n draws of
+    every stream: the three arrivals, the sensing decision and its busy
+    verdicts (primary on, off), the secondary's outcome (0 silent, 1 sent
+    and lost, 2 delivered) with the primary on, off and in a retransmission
+    slot, and the primary's success alone and beside a transmission."""
 
     def below(name, *thresholds):
-        # pop: a second draw would continue the stream, not repeat it
-        u = gens.pop(name).random(n_slots)
+        u = gens[name].random(n)
         return [u < x for x in thresholds]
+
+    def outcome(tx, success):
+        return np.add(tx, tx & success, dtype=np.uint8)
 
     pr = policy.p_access_retx if use_feedback else 0.0
     (arr_p,) = below("arrival_p", traffic.lam_p)
@@ -205,10 +198,6 @@ def run(
         profile.p_sec_short_conc,
     )
     win, win_c = below("success_p", profile.p_primary, profile.p_primary_conc)
-
-    def outcome(tx, success):  # 0 silent, 1 sent and lost, 2 delivered
-        return np.add(tx, tx & success, dtype=np.uint8)
-
     out_on = outcome(
         np.where(sense, np.where(busy_on, busy, free), direct), np.where(sense, short_c, full_c)
     )
@@ -216,13 +205,15 @@ def run(
         np.where(sense, np.where(busy_off, busy, free), direct), np.where(sense, short, full)
     )
     out_rx = outcome(retx, full_c) if use_feedback else out_on
-    del free, busy, direct, retx, full, short, full_c, short_c
+    return arr_p, arr_s, arr_e, sense, busy_on, busy_off, out_on, out_off, out_rx, win, win_c
 
-    # The loop carries only the queue state.  It reads each slot's inputs as
-    # bytes and writes one record byte per slot: battery nonempty, secondary
-    # outcome << 1, primary departure << 3 and data packet served << 4.
-    q = qs = qe = 0
-    nack = False
+
+def _slot_loop(state, backlogged, arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c):
+    """Walk one block's slots from state (q, qs, qe, nack) and return the
+    state after its last slot and one record byte per slot: battery
+    nonempty, secondary outcome << 1, primary departure << 3 and data
+    packet served << 4."""
+    q, qs, qe, nack = state
     record = bytearray()
     put = record.append
     for ap, as_, ae, on, off, rx, w, w_c in zip(
@@ -237,48 +228,103 @@ def run(
         qs += as_ - s
         qe += ae - (e if backlogged else o > 0)
         put(e | o << 1 | d << 3 | s << 4)
-    del arr_e, out_on, out_off, out_rx, win, win_c
+    return (q, qs, qe, nack), np.frombuffer(record, np.uint8)
 
-    r = np.frombuffer(record, np.uint8)
-    energized = (r & 1).astype(bool)
-    sent = (r >> 1) & 3
-    dep = (r >> 3) & 1
-    served = r >> 4
+
+def run(
+    scheme: Scheme,
+    policy: PolicyNoFb,
+    profile: OutageProfile,
+    sensing: SensingQuality,
+    traffic: TrafficParams,
+    semantics: SimSemantics = SimSemantics.EXACT,
+    n_slots: int = 1_000_000,
+    seed: int = 0,
+) -> SimStats:
+    """Simulate n_slots slots, BLOCK_SLOTS at a time, and return the
+    measured statistics."""
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
+    use_feedback = scheme is Scheme.FEEDBACK
+    if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0.0:
+        raise ValueError("random access requires p_sense = 0")
+    if use_feedback and not isinstance(policy, PolicyFb):
+        raise ValueError("feedback scheme needs a PolicyFb")
+    backlogged = semantics is SimSemantics.BACKLOGGED
+
+    gens = {
+        name: np.random.Generator(np.random.Philox(s))
+        for name, s in zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS)))
+    }
     n_batches = min(N_BATCHES, n_slots)
     bounds = -(-np.arange(n_batches + 1) * n_slots // n_batches)  # ceil(b n / B)
     deciles = -(-np.arange(11) * n_slots // 10)
+    batch, dec_sum, sense_counts = {}, 0.0, {}  # running sums, filled by the first block
+    state = (0, 0, 0, False)  # (q, qs, qe, nack) at the start of the next block
+    queued = np.zeros(0, np.int64)  # arrival slots of the queued primary packets
 
-    def per_batch(x):
-        return _segment_sums(x, bounds)
+    for start in range(0, n_slots, BLOCK_SLOTS):
+        n = min(BLOCK_SLOTS, n_slots - start)
+        arr_p, arr_s, arr_e, sense, busy_on, busy_off, *loop_inputs = _block_inputs(
+            gens, n, use_feedback, policy, profile, sensing, traffic
+        )
+        q0, qs0, _, nack0 = state
+        state, r = _slot_loop(state, backlogged, arr_p, arr_s, arr_e, *loop_inputs)
+        del arr_e, loop_inputs
+        energized = (r & 1).astype(bool)
+        sent = (r >> 1) & 3
+        dep = (r >> 3) & 1
 
-    qp = _length_at_start(arr_p, dep)
-    qp_sum_b, dec_sum = per_batch(qp), _segment_sums(qp, deciles)
-    primary_on = qp > 0
-    del qp
-    retx_slot = np.zeros(n_slots, bool)
-    if use_feedback:
-        retx_slot[1:] = primary_on[:-1] & (dep[:-1] == 0)
-    qs_len = _length_at_start(arr_s, served)
-    qs_sum_b = per_batch(qs_len)
-    sensed = energized & (backlogged | (qs_len > 0)) & sense & ~retx_slot
-    del qs_len
-    # FIFO: the k-th departure carries the k-th arrival
-    dep_slots = np.flatnonzero(dep)
-    wait = np.zeros(n_slots)
-    wait[dep_slots] = dep_slots - np.flatnonzero(arr_p)[: dep_slots.size]
+        qp = _length_at_start(arr_p, dep, q0)
+        dec_sum += _segment_sums(qp, np.clip(deciles - start, 0, n))
+        primary_on = qp > 0
+        retx_slot = np.zeros(n, bool)
+        if use_feedback:
+            retx_slot[0] = nack0
+            retx_slot[1:] = primary_on[:-1] & (dep[:-1] == 0)
+        qs_len = _length_at_start(arr_s, r >> 4, qs0)
+        sensed = energized & (backlogged | (qs_len > 0)) & sense & ~retx_slot
+        # FIFO: the k-th departure carries the k-th queued arrival
+        queued = np.concatenate((queued, start + np.flatnonzero(arr_p)))
+        dep_slots = np.flatnonzero(dep)
+        wait = np.zeros(n)
+        wait[dep_slots] = start + dep_slots - queued[: dep_slots.size]
+        queued = queued[dep_slots.size :]
+
+        local = np.clip(bounds - start, 0, n)
+        for name, x in (
+            ("dep", dep),
+            ("on", primary_on),
+            ("delivered", sent == 2),
+            ("spent", energized if backlogged else sent > 0),
+            ("energized", energized),
+            ("wait", wait),
+            ("retx", retx_slot),
+            ("qp", qp),
+            ("qs", qs_len),
+            ("arr_p", arr_p),
+        ):
+            batch[name] = batch.get(name, 0.0) + _segment_sums(x, local)
+        for name, mask in (
+            ("slots_sensed_busy_primary_on", sensed & primary_on & busy_on),
+            ("slots_sensed_primary_on", sensed & primary_on),
+            ("slots_sensed_busy_primary_off", sensed & ~primary_on & busy_off),
+            ("slots_sensed_primary_off", sensed & ~primary_on),
+        ):
+            sense_counts[name] = sense_counts.get(name, 0) + int(np.count_nonzero(mask))
 
     slots_b = np.diff(bounds).astype(float)
     rates, ci = {}, {}
     for name, values, weights in (
-        ("mu_p_hat", per_batch(dep), per_batch(primary_on)),
-        ("mu_s_hat", per_batch(sent == 2), slots_b),
-        ("mu_e_hat", per_batch(energized if backlogged else sent > 0), per_batch(energized)),
-        ("delay_hat", per_batch(wait), per_batch(dep)),
-        ("empty_frac_p", per_batch(~primary_on), slots_b),
-        ("retx_frac", per_batch(retx_slot), slots_b),
-        ("mean_queue_p", qp_sum_b, slots_b),
-        ("mean_queue_s", qs_sum_b, slots_b),
-        ("lam_p_hat", per_batch(arr_p), slots_b),
+        ("mu_p_hat", batch["dep"], batch["on"]),
+        ("mu_s_hat", batch["delivered"], slots_b),
+        ("mu_e_hat", batch["spent"], batch["energized"]),
+        ("delay_hat", batch["wait"], batch["dep"]),
+        ("empty_frac_p", slots_b - batch["on"], slots_b),
+        ("retx_frac", batch["retx"], slots_b),
+        ("mean_queue_p", batch["qp"], slots_b),
+        ("mean_queue_s", batch["qs"], slots_b),
+        ("lam_p_hat", batch["arr_p"], slots_b),
     ):
         rates[name], ci[name] = _batch_mean_ci(values, weights)
     dec_n = np.diff(deciles)
@@ -291,15 +337,7 @@ def run(
         **rates,
         ci_halfwidths=ci,
         qp_decile_means=tuple(dec_means.tolist()),
-        sense_counts={
-            name: int(np.count_nonzero(mask))
-            for name, mask in (
-                ("slots_sensed_busy_primary_on", sensed & primary_on & busy_on),
-                ("slots_sensed_primary_on", sensed & primary_on),
-                ("slots_sensed_busy_primary_off", sensed & ~primary_on & busy_off),
-                ("slots_sensed_primary_off", sensed & ~primary_on),
-            )
-        },
+        sense_counts=sense_counts,
     )
 
 
@@ -330,6 +368,19 @@ class LowerBoundReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+def _bound(margin: float) -> float:
+    """A check's margin, with nan read as inf: a quantity averaged over
+    fewer than two weighted batches has no half-width, so it bounds
+    nothing."""
+    return math.inf if math.isnan(margin) else margin
+
+
+def _passes(holds, margin: float) -> bool:
+    """A check passes where its claim holds, and always at an inf margin,
+    where its estimates (nan when they have no samples) bound nothing."""
+    return bool(holds or margin == math.inf)
 
 
 def predict(scheme, policy, profile, sensing, traffic):
@@ -363,36 +414,36 @@ def validate_lower_bound(
     unstable = exact.drift_detected or blg.drift_detected
     checks = []
     if traffic.lam_s > 0:
-        margin = 3.0 * math.hypot(exact.stderr("mu_s_hat"), blg.stderr("mu_s_hat"))
+        margin = _bound(3.0 * math.hypot(exact.stderr("mu_s_hat"), blg.stderr("mu_s_hat")))
         checks.append(
             BoundCheck(
                 name="mu_s exact >= backlogged - 3se",
                 lhs=exact.mu_s_hat,
                 rhs=blg.mu_s_hat,
                 margin=margin,
-                passed=bool(exact.mu_s_hat >= blg.mu_s_hat - margin),
+                passed=_passes(exact.mu_s_hat >= blg.mu_s_hat - margin, margin),
             )
         )
         if math.isfinite(mu_s_analytic):
-            margin = 3.0 * exact.stderr("mu_s_hat")
+            margin = _bound(3.0 * exact.stderr("mu_s_hat"))
             checks.append(
                 BoundCheck(
                     name="mu_s analytic <= exact + 3se",
                     lhs=mu_s_analytic,
                     rhs=exact.mu_s_hat,
                     margin=margin,
-                    passed=bool(mu_s_analytic <= exact.mu_s_hat + margin),
+                    passed=_passes(mu_s_analytic <= exact.mu_s_hat + margin, margin),
                 )
             )
     if traffic.lam_s == 0 and traffic.lam_p > 0:
-        margin = 3.0 * math.hypot(exact.stderr("mu_p_hat"), blg.stderr("mu_p_hat"))
+        margin = _bound(3.0 * math.hypot(exact.stderr("mu_p_hat"), blg.stderr("mu_p_hat")))
         checks.append(
             BoundCheck(
                 name="mu_p exact >= backlogged - 3se",
                 lhs=exact.mu_p_hat,
                 rhs=blg.mu_p_hat,
                 margin=margin,
-                passed=bool(exact.mu_p_hat >= blg.mu_p_hat - margin),
+                passed=_passes(exact.mu_p_hat >= blg.mu_p_hat - margin, margin),
             )
         )
     return LowerBoundReport(
@@ -441,7 +492,7 @@ def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
     checks = []
     for name, measured, predicted, half in pairs:
         predicted = float(predicted)
-        bound = 3.0 * half / Z95 if math.isfinite(half) else math.inf
+        bound = _bound(3.0 * half / Z95)
         residual = abs(measured - predicted)
         # an exact-zero sampling variance means the quantity is deterministic
         if bound == 0.0:
@@ -453,7 +504,7 @@ def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
                 predicted=predicted,
                 residual=residual,
                 bound=bound,
-                passed=bool(residual <= bound),
+                passed=_passes(residual <= bound, bound),
             )
         )
     return tuple(checks)

@@ -1,4 +1,5 @@
 import importlib.resources
+import itertools
 import math
 import warnings
 
@@ -524,6 +525,18 @@ def test_chunked_grid_scan_matches_whole_grid(
         assert (x is None) == (whole[0] is None)
         if x is not None:
             assert x.tolist() == whole[0].tolist()
+
+
+def test_grid_chunks_stay_full_at_fine_steps():
+    # at step 0.02 one 51 x 51 slab holds 2,601 points; a chunk takes six
+    vals = _grid_values(0.02)
+    chunks = list(_grid_chunks(vals, 3))
+    shapes = [np.broadcast_shapes(*map(np.shape, cols)) for cols in chunks]
+    assert shapes == [(6, 51, 51)] * 8 + [(3, 51, 51)]
+    points = np.concatenate(
+        [np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 3) for cols in chunks]
+    )
+    assert points.tolist() == [list(x) for x in itertools.product(vals.tolist(), repeat=3)]
 
 
 @settings(max_examples=25, deadline=None)

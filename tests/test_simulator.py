@@ -16,6 +16,8 @@ from ehcog import (
     run,
     validate_lower_bound,
 )
+from ehcog import simulator
+from ehcog.simulator import predict, residual_checks
 from conftest import PRESET_PROFILE, PRESET_SENSING, traced_peak
 from oracles import run_slots
 
@@ -354,17 +356,22 @@ EXACT, BACKLOGGED = SimSemantics.EXACT, SimSemantics.BACKLOGGED
     semantics=st.sampled_from(list(SimSemantics)),
     n_slots=st.integers(1, 3000),
     seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 2, 7, 64, simulator.BLOCK_SLOTS]),
 )
-# n_slots 29 and 31 straddle the 30 batches; below 10 some deciles are empty
-@example(config=FB, semantics=EXACT, n_slots=1, seed=0)
-@example(config=FB, semantics=BACKLOGGED, n_slots=29, seed=1)
-@example(config=NOFB, semantics=EXACT, n_slots=31, seed=2)
-@example(config=NO_ENERGY, semantics=EXACT, n_slots=2000, seed=3)
-@example(config=NO_DATA, semantics=EXACT, n_slots=2000, seed=4)
-@example(config=NO_PRIMARY, semantics=BACKLOGGED, n_slots=2000, seed=5)
-@example(config=UNSTABLE, semantics=BACKLOGGED, n_slots=3000, seed=6)
-def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed):
-    got = run(*config, semantics, n_slots, seed)
+# n_slots 29 and 31 straddle the 30 batches; below 10 some deciles are empty;
+# blocks of 2, 7 and 64 slots end inside batches and deciles
+@example(config=FB, semantics=EXACT, n_slots=1, seed=0, block=1)
+@example(config=FB, semantics=BACKLOGGED, n_slots=29, seed=1, block=7)
+@example(config=NOFB, semantics=EXACT, n_slots=31, seed=2, block=2)
+@example(config=NO_ENERGY, semantics=EXACT, n_slots=2000, seed=3, block=64)
+@example(config=NO_DATA, semantics=EXACT, n_slots=2000, seed=4, block=7)
+@example(config=NO_PRIMARY, semantics=BACKLOGGED, n_slots=2000, seed=5, block=64)
+@example(config=UNSTABLE, semantics=BACKLOGGED, n_slots=3000, seed=6, block=7)
+@example(config=FB, semantics=EXACT, n_slots=3000, seed=7, block=simulator.BLOCK_SLOTS)
+def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "BLOCK_SLOTS", block)
+        got = run(*config, semantics, n_slots, seed)
     want = run_slots(*config, semantics, n_slots, seed)
     assert repr(got) == repr(want)
     assert list(got.ci_halfwidths) == list(want.ci_halfwidths)
@@ -375,9 +382,45 @@ def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed):
     assert got.sense_counts == want.sense_counts
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+def test_philox_stream_drawn_in_pieces_continues_exactly(seed):
+    # the streamed run relies on this: its draws do not depend on BLOCK_SLOTS
+    (s,) = np.random.SeedSequence(seed).spawn(1)
+    whole = np.random.Generator(np.random.Philox(s)).random(100_003)
+    gen = np.random.Generator(np.random.Philox(s))
+    pieces = np.concatenate([gen.random(n) for n in (1, 2, 5, 16384, 3, 16384, 67224)])
+    assert pieces.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("semantics", list(SimSemantics))
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_simulator_memory_per_slot_is_bounded(scheme, semantics):
-    # the loop that kept every float draw alive peaked at 68.2 B/slot
-    n_slots = 100_000
-    assert traced_peak(run, *hand_config(scheme), semantics, n_slots) < 60 * n_slots
+    # a run holding every slot at once peaked at 31 B/slot, 6.2 MB here;
+    # streamed in blocks it holds one block, about 1 MB at any length
+    assert traced_peak(run, *hand_config(scheme), semantics, 200_000) < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("n_slots", [30, 50, 100])
+def test_lower_bound_check_without_a_margin_passes(n_slots):
+    # at lam_p 0.01 so few packets arrive that under two batches see a
+    # primary attempt: the 3-standard-error margin is unbounded, and the
+    # estimates may be nan
+    traffic = TrafficParams(0.01, 0.0, 0.8)
+    for seed in (0, 1):
+        rep = validate_lower_bound(*hand_config(Scheme.NOFEEDBACK, traffic), n_slots, seed)
+        (check,) = rep.checks
+        assert check.name == "mu_p exact >= backlogged - 3se"
+        assert check.margin == math.inf
+        assert check.passed is True
+
+
+def test_check_verdicts_are_python_bools():
+    # the CLI writes a verdict as true/false; a numpy bool would print False
+    config = hand_config(Scheme.NOFEEDBACK)
+    stats = run(*config, BACKLOGGED, 20_000, 0)
+    starved = hand_config(Scheme.NOFEEDBACK, TrafficParams(0.126, 1.0, 0.2))
+    checks = residual_checks(stats, predict(*starved), HAND_TRAFFIC.lam_p)
+    assert not any(c.passed for c in checks)
+    assert all(type(c.passed) is bool for c in checks)
+    rep = validate_lower_bound(*config, 20_000, 0)
+    assert all(type(c.passed) is bool for c in rep.checks)
