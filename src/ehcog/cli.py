@@ -6,7 +6,9 @@ deep-merged over the preset); --scheme/--seed/--slots/--out override
 individual values.  Relative --config paths are also looked up under
 $EHCOG_CONFIG_DIR.  CSV output uses a fixed header per command, 17
 significant digits and LF line endings so identical configs give byte-
-identical files.
+identical files.  analyze, optimize, simulate and validate print their
+fields from the row they write, as `name: value` (validate: one
+`[kind] name: column=value ...` line per check).
 
 Exit codes: 0 ok, 1 config error, 2 infeasible or unstable operating point,
 3 validation failure.
@@ -118,6 +120,9 @@ def _load_config(args) -> dict:
         cfg["sim"] = dict(_mapping(cfg.get("sim", {}), "sim"), n_slots=args.slots)
     if args.out:
         cfg["out"] = args.out
+    # open() reads an int or a bool as a file descriptor
+    if not isinstance(cfg.get("out"), (str, type(None))):
+        raise ConfigError("'out' must be a path")
     return cfg
 
 
@@ -302,15 +307,13 @@ def cmd_optimize(cfg: dict) -> int:
         traffic=_parse_traffic(cfg),
     )
     result = optimizer.solve(problem, _parse_solver(cfg))
-    print(f"scheme: {scheme.value}")
-    print(f"feasible: {_fmt(result.feasible)}")
-    print(f"mu_s_opt: {_fmt(result.mu_s)}")
-    print(f"mu_p_at_opt: {_fmt(result.mu_p)}")
-    print(f"delay_at_opt: {_fmt(result.delay)}")
-    for name in optimizer.VAR_NAMES[scheme]:
-        print(f"{name}: {_fmt(getattr(result.policy, name))}")
+    row = _opt_row(scheme, "", "", result)
+    column = dict(zip(OPT_HEADER, row))
+    for name in ("scheme", "feasible", "mu_s_opt", "mu_p_at_opt", "delay_at_opt",
+                 *optimizer.VAR_NAMES[scheme]):
+        print(f"{name}: {column[name]}")
     if cfg.get("out"):
-        _write_csv(cfg["out"], OPT_HEADER, [_opt_row(scheme, "", "", result)])
+        _write_csv(cfg["out"], OPT_HEADER, [row])
     return 0 if result.feasible else 2
 
 
@@ -402,34 +405,19 @@ def cmd_validate(cfg: dict) -> int:
         simulator.predict(scheme, policy, profile, sensing, traffic),
         traffic.lam_p,
     )
+    every = checks + bound_report.checks
     rows = []
-    all_ok = True
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        all_ok &= c.passed
-        print(
-            f"[closed-form] {c.name}: measured={_fmt(c.measured)} "
-            f"predicted={_fmt(c.predicted)} residual={_fmt(c.residual)} "
-            f"bound={_fmt(c.bound)} {status}"
-        )
-        rows.append(["closed-form", c.name, _fmt(c.measured), _fmt(c.predicted),
-                     _fmt(c.residual), _fmt(c.bound), _fmt(c.passed)])
-    for c in bound_report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        all_ok &= c.passed
-        print(
-            f"[lower-bound] {c.name}: lhs={_fmt(c.lhs)} rhs={_fmt(c.rhs)} "
-            f"margin={_fmt(c.margin)} {status}"
-        )
-        rows.append(["lower-bound", c.name, _fmt(c.lhs), _fmt(c.rhs),
-                     _fmt(abs(c.lhs - c.rhs)), _fmt(c.margin), _fmt(c.passed)])
+    for c in every:
+        rows.append([_fmt(getattr(c, name)) for name in VALIDATE_HEADER])
+        measures = " ".join(f"{n}={v}" for n, v in zip(VALIDATE_HEADER[2:6], rows[-1][2:6]))
+        print(f"[{c.kind}] {c.name}: {measures} {'PASS' if c.passed else 'FAIL'}")
     unstable = bound_report.unstable or not checks
     if cfg.get("out"):
         _write_csv(cfg["out"], VALIDATE_HEADER, rows)
     if unstable:
         print("unstable detected: checks reported, not asserted")
         return 0
-    return 0 if all_ok else 3
+    return 0 if all(c.passed for c in every) else 3
 
 
 def main(argv=None) -> int:

@@ -213,10 +213,11 @@ def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
         eps[..., 1:2] = pi0 * (lam_p / eta) * (1.0 - alpha)
     if k_max >= 2:
         k = np.arange(2, k_max + 1)
-        # geometric levels: ratio rho = lam_p (1-eta) / ((1-lam_p) eta),
-        # factored as r^k (1-eta)^(k-2) so eta = 1 stays finite
+        # geometric levels r^k (1-eta)^(k-2) with r = lam_p / ((1-lam_p) eta),
+        # written as r^2 rho^(k-2) with rho = r (1-eta) < 1, so they stay
+        # finite at eta = 1 and where r^k alone would overflow
         r = lam_p / ((1.0 - lam_p) * eta)
-        shape = r**k * (1.0 - eta) ** (k - 2)
+        shape = r * r * (r * (1.0 - eta)) ** (k - 2)
         pi[..., 2:] = pi0 * lam_p * (1.0 - alpha) * shape
         eps[..., 2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
     return pi, eps
@@ -281,24 +282,15 @@ def state_probs(alpha: float, gamma: float, lam_p: float, k_max: int):
 
 
 def tail_k_max(alpha: float, gamma: float, lam_p: float, tol: float = TAIL_TOL) -> int:
-    """Smallest K with stationary mass above level K provably below tol."""
+    """Smallest K >= 1 with stationary mass above level K below tol; 0 at
+    lam_p = 0."""
     point = _stable_point(alpha, gamma, lam_p)
     if lam_p == 0.0:
         return 0
     eta, pi0 = float(point.eta), float(point.pi0)
-    rho = lam_p * (1.0 - eta) / ((1.0 - lam_p) * eta)
-    # total mass of level k >= 2 is pi0 (1-alpha) r^k (1-eta)^(k-2); these
-    # levels decay geometrically with ratio rho < 1
-    level = pi0 * (1.0 - alpha) * (lam_p / ((1.0 - lam_p) * eta)) ** 2
-    k = 2
-    if rho == 0.0:
-        return max(k, 1)
-    while level / (1.0 - rho) >= tol:
-        level *= rho
-        k += 1
-        if k > 10_000_000:  # pragma: no cover
-            raise RuntimeError("tail does not shrink; check parameters")
-    return k
+    r = lam_p / ((1.0 - lam_p) * eta)
+    # level k >= 2 holds pi0 (1-alpha) r^2 (r (1-eta))^(k-2) in all
+    return nofeedback.geometric_tail_k(1, pi0 * (1.0 - alpha) * r * r, r * (1.0 - eta), tol)
 
 
 def secondary_service_rate(

@@ -242,31 +242,35 @@ def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
     out[0] = nu0
     if k_max >= 1:
         k = np.arange(1, k_max + 1)
-        # nu_k = nu0 * r^k * (1-mu_p)^(k-1) with r = lam_p / ((1-lam_p) mu_p);
-        # written this way it stays finite at mu_p = 1.
+        # nu_k = nu0 * r^k * (1-mu_p)^(k-1) with r = lam_p / ((1-lam_p) mu_p),
+        # written as r * rho^(k-1) with rho = r (1-mu_p) < 1, so it stays
+        # finite at mu_p = 1 and where r^k alone would overflow
         r = lam_p / ((1.0 - lam_p) * mu_p)
-        out[1:] = nu0 * r**k * (1.0 - mu_p) ** (k - 1)
+        out[1:] = nu0 * r * (r * (1.0 - mu_p)) ** (k - 1)
     return out
 
 
-def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
-    """Smallest K with stationary mass above K provably below tol."""
-    if lam_p >= mu_p:
-        raise Unstable(f"lam_p={lam_p} >= mu_p={mu_p}")
-    if lam_p == 0.0:
-        return 0
-    nu0 = float(closed_forms(lam_p, mu_p).nu0)
-    r = lam_p / ((1.0 - lam_p) * mu_p)
-    rho = r * (1.0 - mu_p)  # geometric decay of the tail, < 1 when stable
-    # mass above K is nu_{K+1} / (1 - rho) = nu0 * r * rho^K / (1 - rho)
-    k = 1
-    head = nu0 * r
+def geometric_tail_k(k: int, head: float, rho: float, tol: float) -> int:
+    """Smallest K >= k whose mass above level K is below tol, for a pmf
+    whose level k + 1 holds head and whose levels above it decay by a ratio
+    rho < 1, so that the mass above K is head * rho^(K-k) / (1 - rho)."""
     while head / (1.0 - rho) >= tol:
         head *= rho
         k += 1
         if k > 10_000_000:  # pragma: no cover
             raise RuntimeError("tail does not shrink; check parameters")
     return k
+
+
+def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
+    """Smallest K >= 0 with stationary mass above K below tol; 0 at
+    lam_p = 0."""
+    if lam_p >= mu_p:
+        raise Unstable(f"lam_p={lam_p} >= mu_p={mu_p}")
+    nu0 = float(closed_forms(lam_p, mu_p).nu0)
+    r = lam_p / ((1.0 - lam_p) * mu_p)
+    # nu_1 = nu0 * r, then a geometric tail of ratio r (1-mu_p)
+    return geometric_tail_k(0, nu0 * r, r * (1.0 - mu_p), tol)
 
 
 def analyze(

@@ -342,11 +342,21 @@ def run(
 
 
 @dataclass(frozen=True)
-class BoundCheck:
+class Check:
+    """One validation check, laid out as the row ehcog validate writes.
+
+    kind is "closed-form" (a backlogged run against the closed forms) or
+    "lower-bound" (an ordering the exact system must keep); residual is
+    |measured - reference|, and the check passes where its claim holds
+    within bound.
+    """
+
+    kind: str
     name: str
-    lhs: float
-    rhs: float
-    margin: float
+    measured: float
+    reference: float
+    residual: float
+    bound: float
     passed: bool
 
 
@@ -377,10 +387,12 @@ def _bound(margin: float) -> float:
     return math.inf if math.isnan(margin) else margin
 
 
-def _passes(holds, margin: float) -> bool:
-    """A check passes where its claim holds, and always at an inf margin,
-    where its estimates (nan when they have no samples) bound nothing."""
-    return bool(holds or margin == math.inf)
+def _check(kind: str, name: str, measured, reference, bound: float, holds) -> Check:
+    """The Check of a claim that holds or not.  It passes where the claim
+    holds, and always at an inf bound, where its estimates (nan when they
+    have no samples) bound nothing."""
+    residual = abs(measured - reference)
+    return Check(kind, name, measured, reference, residual, bound, bool(holds or bound == math.inf))
 
 
 def predict(scheme, policy, profile, sensing, traffic):
@@ -415,37 +427,22 @@ def validate_lower_bound(
     checks = []
     if traffic.lam_s > 0:
         margin = _bound(3.0 * math.hypot(exact.stderr("mu_s_hat"), blg.stderr("mu_s_hat")))
-        checks.append(
-            BoundCheck(
-                name="mu_s exact >= backlogged - 3se",
-                lhs=exact.mu_s_hat,
-                rhs=blg.mu_s_hat,
-                margin=margin,
-                passed=_passes(exact.mu_s_hat >= blg.mu_s_hat - margin, margin),
-            )
-        )
+        checks.append(_check(
+            "lower-bound", "mu_s exact >= backlogged - 3se", exact.mu_s_hat, blg.mu_s_hat,
+            margin, exact.mu_s_hat >= blg.mu_s_hat - margin,
+        ))
         if math.isfinite(mu_s_analytic):
             margin = _bound(3.0 * exact.stderr("mu_s_hat"))
-            checks.append(
-                BoundCheck(
-                    name="mu_s analytic <= exact + 3se",
-                    lhs=mu_s_analytic,
-                    rhs=exact.mu_s_hat,
-                    margin=margin,
-                    passed=_passes(mu_s_analytic <= exact.mu_s_hat + margin, margin),
-                )
-            )
+            checks.append(_check(
+                "lower-bound", "mu_s analytic <= exact + 3se", mu_s_analytic, exact.mu_s_hat,
+                margin, mu_s_analytic <= exact.mu_s_hat + margin,
+            ))
     if traffic.lam_s == 0 and traffic.lam_p > 0:
         margin = _bound(3.0 * math.hypot(exact.stderr("mu_p_hat"), blg.stderr("mu_p_hat")))
-        checks.append(
-            BoundCheck(
-                name="mu_p exact >= backlogged - 3se",
-                lhs=exact.mu_p_hat,
-                rhs=blg.mu_p_hat,
-                margin=margin,
-                passed=_passes(exact.mu_p_hat >= blg.mu_p_hat - margin, margin),
-            )
-        )
+        checks.append(_check(
+            "lower-bound", "mu_p exact >= backlogged - 3se", exact.mu_p_hat, blg.mu_p_hat,
+            margin, exact.mu_p_hat >= blg.mu_p_hat - margin,
+        ))
     return LowerBoundReport(
         exact=exact,
         backlogged=blg,
@@ -453,16 +450,6 @@ def validate_lower_bound(
         unstable=unstable,
         checks=tuple(checks),
     )
-
-
-@dataclass(frozen=True)
-class ResidualCheck:
-    name: str
-    measured: float
-    predicted: float
-    residual: float
-    bound: float
-    passed: bool
 
 
 def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
@@ -493,20 +480,11 @@ def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
     for name, measured, predicted, half in pairs:
         predicted = float(predicted)
         bound = _bound(3.0 * half / Z95)
-        residual = abs(measured - predicted)
         # an exact-zero sampling variance means the quantity is deterministic
         if bound == 0.0:
             bound = 1e-12
-        checks.append(
-            ResidualCheck(
-                name=name,
-                measured=measured,
-                predicted=predicted,
-                residual=residual,
-                bound=bound,
-                passed=_passes(residual <= bound, bound),
-            )
-        )
+        holds = abs(measured - predicted) <= bound
+        checks.append(_check("closed-form", name, measured, predicted, bound, holds))
     return tuple(checks)
 
 

@@ -52,6 +52,14 @@ def stable_two_phase_draws(rng: np.random.Generator, n: int):
     return out
 
 
+def assert_mass_covers(levels, tol: float) -> None:
+    """The per-level masses of a chain sum to at least 1 - tol, up to
+    rounding: level k carries an error of about k ulp, so the sum may miss
+    by a few ulp times the mean queue length."""
+    slack = 4 * np.finfo(float).eps * (1.0 + np.arange(levels.size) @ levels)
+    assert levels.sum() >= 1.0 - tol - slack
+
+
 def traced_peak(fn, *args) -> int:
     """Peak traced memory in bytes of one call, after a warm-up call."""
     fn(*args)

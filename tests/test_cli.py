@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ehcog.cli import ANALYZE_HEADER, OPT_HEADER, SIM_HEADER, main
+from ehcog.cli import ANALYZE_HEADER, OPT_HEADER, SIM_HEADER, VALIDATE_HEADER, main
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -273,7 +273,75 @@ def test_validate_with_too_few_slots_to_measure_passes(capsys):
     code, out, _ = run_cli(capsys, ["validate", "--preset", "fig4", "--slots", "1"])
     assert code == 0
     assert "FAIL" not in out
-    assert "margin=inf" in out and "bound=inf" in out
+    assert "bound=inf" in out
+
+
+@pytest.mark.parametrize(
+    "argv, header, extra",
+    [
+        (["analyze", "--preset", "fig4"], ANALYZE_HEADER, set()),
+        (["optimize", "--preset", "fig7", "--scheme", "feedback"], OPT_HEADER, set()),
+        (["optimize", "--preset", "fig7", "--scheme", "nofeedback"], OPT_HEADER, set()),
+        (["optimize", "--preset", "fig7", "--scheme", "random_access"], OPT_HEADER, set()),
+        (["simulate", "--preset", "fig4", "--slots", "20000"], SIM_HEADER, {"drift_detected"}),
+    ],
+    ids=["analyze", "optimize-feedback", "optimize-nofeedback", "optimize-random-access",
+         "simulate"],
+)
+def test_stdout_prints_the_csv_row(tmp_path, capsys, argv, header, extra):
+    # extra: the stdout fields that are not CSV columns
+    out = tmp_path / "out.csv"
+    _, stdout, _ = run_cli(capsys, argv + ["--out", str(out)])
+    header_row, row = csv.reader(out.read_text().splitlines())
+    assert header_row == header
+    column = dict(zip(header, row))
+    vals = parse_kv(stdout)
+    assert set(vals) - set(column) == extra
+    for name in set(vals) & set(column):
+        assert vals[name] == column[name], name
+
+
+def test_validate_prints_each_csv_row(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    _, stdout, _ = run_cli(
+        capsys, ["validate", "--preset", "fig4", "--slots", "20000", "--out", str(out)]
+    )
+    header, *rows = csv.reader(out.read_text().splitlines())
+    assert header == VALIDATE_HEADER
+    lines = [line for line in stdout.splitlines() if line.startswith("[")]
+    assert len(lines) == len(rows) > 0
+    for line, row in zip(lines, rows):
+        column = dict(zip(header, row))
+        label, fields = line.split(": ", 1)
+        assert label == f"[{column['kind']}] {column['name']}"
+        *pairs, verdict = fields.split(" ")
+        assert dict(pair.split("=") for pair in pairs) == {
+            name: column[name] for name in ("measured", "reference", "residual", "bound")
+        }
+        assert verdict == {"true": "PASS", "false": "FAIL"}[column["passed"]]
+
+
+#: a primary that never fails, so eta = 1, loaded to lam_p = 0.99999
+HEAVY_LOAD = {
+    "profile": {"probabilities": {"p_primary": 1.0, "p_primary_conc": 1.0}},
+    "traffic": {"lam_p": 0.99999},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize"])
+def test_feedback_delay_under_heavy_load_with_a_perfect_primary(tmp_path, capsys, command):
+    # the degenerate eta ~ 1 delay sums the geometric queue levels, which
+    # used to overflow to nan and end in a traceback
+    overlay = write_yaml(tmp_path / "o.yaml", HEAVY_LOAD)
+    code, out, _ = run_cli(
+        capsys, [command, "--preset", "fig4", "--scheme", "feedback", "--config", overlay]
+    )
+    vals = parse_kv(out)
+    assert code == 0
+    delay = vals["delay" if command == "analyze" else "delay_at_opt"]
+    assert float(delay) == pytest.approx(1.0, rel=1e-12)
+    if command == "analyze":
+        assert vals["delay_feasible"] == "true"
 
 
 def test_help_and_missing_command():
@@ -371,6 +439,10 @@ def physics_config(cross, **primary):
         (["analyze"],
          physics_config({"sec_at_primary_rx": math.inf, "pri_at_sec_rx": 2.0}, bits_per_packet=0.0),
          "invalid value in 'profile.physics'"),
+        # open() takes an int or a bool for a file descriptor
+        (["sweep", "--preset", "fig4"], {"out": 2}, "'out' must be a path"),
+        (["analyze", "--preset", "fig4"], {"out": True}, "'out' must be a path"),
+        (["validate", "--preset", "fig4", "--slots", "10"], {"out": 5}, "'out' must be a path"),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
@@ -381,7 +453,8 @@ def physics_config(cross, **primary):
          "lam-e-a-string", "p-sense-a-string", "p-false-alarm-a-string", "lam-p-a-list",
          "lam-p-a-bool", "random-access-sensing-analyze", "random-access-sensing-simulate",
          "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string",
-         "cross-snr-nan", "physics-zero-times-inf"],
+         "cross-snr-nan", "physics-zero-times-inf", "out-an-int", "out-a-bool",
+         "out-a-closed-fd"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, message):
     if config is not None:

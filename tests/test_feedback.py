@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ehcog import PolicyFb, PolicyNoFb, TrafficParams, Unstable
 from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
 
-from conftest import stable_two_phase_draws
+from conftest import assert_mass_covers, stable_two_phase_draws
 from oracles import collect_two_phase, series_delay, stationary, two_phase_chain
 
 HAND_POLICY = PolicyFb(p_sense=0.0, p_access_direct=1.0, p_access_retx=0.0)
@@ -122,6 +122,8 @@ def test_degenerate_full_service_delay():
     # just inside the fallback window
     a = 1.0 - 5e-10
     assert fb.primary_delay(a, a, 0.3) == pytest.approx(1.0, rel=1e-6)
+    # near full load r^k of the summed levels overflows, and once gave nan
+    assert fb.primary_delay(1.0, 1.0, 0.99999) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tail_bound_covers_the_mass():
@@ -130,6 +132,49 @@ def test_tail_bound_covers_the_mass():
         k = fb.tail_k_max(alpha, gamma, lam, tol=1e-10)
         pi, eps = fb.state_probs(alpha, gamma, lam, k)
         assert 1.0 - (pi.sum() + eps.sum()) < 1e-10 + 1e-14
+
+
+def test_state_probs_stay_finite_under_heavy_load():
+    # r = lam_p / ((1-lam_p) eta) = 1.98 here: r^k overflows long before the
+    # tail ends, and inf * 0 used to give 3,376 nan masses out of 5,530
+    k = fb.tail_k_max(0.5, 0.5, 0.4975)
+    pi, eps = fb.state_probs(0.5, 0.5, 0.4975, k)
+    assert np.isfinite(pi).all() and np.isfinite(eps).all()
+    assert_mass_covers(pi + eps, 1e-12)
+
+
+def tail_above(pi, eps, k):
+    """Mass of the levels above k, smallest first."""
+    return (pi + eps)[k + 1 :][::-1].sum()
+
+
+def test_tail_k_max_is_the_smallest_k():
+    # equal phase rates make the sensing-only chain, whose mass above 12 is
+    # already below 1e-12
+    assert fb.tail_k_max(0.5, 0.5, 0.1) == nofb.tail_k_max(0.1, 0.5) == 12
+    assert fb.tail_k_max(0.5, 0.5, 0.0) == 0
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(0.01, 1.0),
+    st.floats(0.01, 1.0),
+    st.floats(0.0, 0.995),
+    st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_tail_k_max_is_minimal_and_its_levels_are_finite(alpha, gamma, u, tol):
+    # lam = u * eta(lam), solved for lam; eta is affine in lam
+    lam = u * gamma / (1.0 + u * (gamma - alpha))
+    assume(lam < 1.0)
+    k = fb.tail_k_max(alpha, gamma, lam, tol)
+    pi, eps = fb.state_probs(alpha, gamma, lam, k)
+    assert np.isfinite(pi).all() and np.isfinite(eps).all()
+    assert_mass_covers(pi + eps, tol)
+    # levels far enough out that what lies beyond them is negligible
+    pi, eps = fb.state_probs(alpha, gamma, lam, fb.tail_k_max(alpha, gamma, lam, tol * 1e-6) + 1)
+    assert tail_above(pi, eps, k) < tol * (1 + 1e-9)
+    if k > 1:
+        assert tail_above(pi, eps, k - 1) >= tol * (1 - 1e-9)
 
 
 def test_analyze_composition(preset_profile, preset_sensing):

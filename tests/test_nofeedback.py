@@ -22,7 +22,7 @@ from ehcog.nofeedback import (
     tail_k_max,
 )
 
-from conftest import stable_single_phase_draws
+from conftest import assert_mass_covers, stable_single_phase_draws
 from oracles import series_delay, single_phase_chain, stationary
 
 unit = st.floats(0.0, 1.0)
@@ -160,6 +160,41 @@ def test_tail_bound_actually_covers_the_mass():
         k = tail_k_max(lam, mu, tol=1e-10)
         assert 1.0 - stationary_dist(lam, mu, k).sum() < 1e-10 + 1e-14
     assert tail_k_max(0.0, 0.5) == 0
+
+
+def test_stationary_dist_stays_finite_under_heavy_load():
+    # r = lam_p / ((1-lam_p) mu_p) = 2.48 here: r^k overflows long before
+    # the tail ends, and inf * 0 used to give 522 nan levels
+    nu = stationary_dist(0.6, 0.605, tail_k_max(0.6, 0.605))
+    assert np.isfinite(nu).all()
+    assert_mass_covers(nu, 1e-12)
+
+
+def tail_above(nu, k):
+    """Mass of the levels above k, smallest first."""
+    return nu[k + 1 :][::-1].sum()
+
+
+def test_tail_k_max_is_the_smallest_k():
+    # the mass above 12 is already below 1e-12
+    assert tail_k_max(0.1, 0.5) == 12
+    nu = stationary_dist(0.1, 0.5, 60)
+    assert tail_above(nu, 12) < 1e-12 <= tail_above(nu, 11)
+
+
+@settings(max_examples=60)
+@given(st.floats(0.01, 1.0), st.floats(0.0, 0.995), st.sampled_from([1e-6, 1e-10, 1e-12]))
+def test_tail_k_max_is_minimal_and_its_levels_are_finite(mu, u, tol):
+    lam = mu * u
+    k = tail_k_max(lam, mu, tol)
+    nu = stationary_dist(lam, mu, k)
+    assert np.isfinite(nu).all()
+    assert_mass_covers(nu, tol)
+    # levels far enough out that what lies beyond them is negligible
+    nu = stationary_dist(lam, mu, tail_k_max(lam, mu, tol * 1e-6) + 1)
+    assert tail_above(nu, k) < tol * (1 + 1e-9)
+    if k > 0:
+        assert tail_above(nu, k - 1) >= tol * (1 - 1e-9)
 
 
 def test_analyze_matches_parts_bitwise(preset_profile, preset_sensing):

@@ -410,7 +410,7 @@ def test_lower_bound_check_without_a_margin_passes(n_slots):
         rep = validate_lower_bound(*hand_config(Scheme.NOFEEDBACK, traffic), n_slots, seed)
         (check,) = rep.checks
         assert check.name == "mu_p exact >= backlogged - 3se"
-        assert check.margin == math.inf
+        assert check.bound == math.inf
         assert check.passed is True
 
 
