@@ -4,11 +4,14 @@ Subcommands: analyze, optimize, sweep, simulate, validate.  Configuration
 comes from a preset (--preset), a YAML file (--config), or both (the file is
 deep-merged over the preset); --scheme/--seed/--slots/--out override
 individual values.  Relative --config paths are also looked up under
-$EHCOG_CONFIG_DIR.  CSV output uses a fixed header per command, 17
-significant digits and LF line endings so identical configs give byte-
-identical files.  analyze, optimize, simulate and validate print their
-fields from the row they write, as `name: value` (validate: one
-`[kind] name: column=value ...` line per check).
+$EHCOG_CONFIG_DIR.  Each parameter section is built by _build, which
+refuses a field value that is not a number; `seed` is the run's one seed,
+the Sobol seed of optimize and sweep and the Philox seed of simulate and
+validate.  CSV output uses a fixed header per command, 17 significant
+digits and LF line endings so identical configs give byte-identical files.
+analyze, optimize and simulate print chosen columns of the row they write,
+as `name: value` (validate: one `[kind] name: column=value ...` line per
+check).
 
 Exit codes: 0 ok, 1 config error, 2 infeasible or unstable operating point,
 3 validation failure.
@@ -16,11 +19,13 @@ Exit codes: 0 ok, 1 config error, 2 infeasible or unstable operating point,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import inspect
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import yaml
 
@@ -58,7 +63,7 @@ SIM_HEADER = [
     "scheme", "semantics", "n_slots", "seed",
     "mu_p_hat", "mu_s_hat", "mu_e_hat", "delay_hat",
     "mean_queue_p", "mean_queue_s", "empty_frac_p", "retx_frac", "lam_p_hat",
-    "ci_mu_p_hat", "ci_mu_s_hat", "ci_delay_hat", "ci_empty_frac_p",
+    "drift_detected", "ci_mu_p_hat", "ci_mu_s_hat", "ci_delay_hat", "ci_empty_frac_p",
 ]
 VALIDATE_HEADER = [
     "kind", "name", "measured", "reference", "residual", "bound", "passed",
@@ -139,19 +144,17 @@ def _mapping(section, where: str) -> dict:
     return section
 
 
-def _check_numbers(section: dict, names, where: str) -> None:
-    """Refuse any value in section of a field in names that is not an int or
-    a float, bools included: YAML reads 1e-3 or a quoted number as a string,
-    and the range checks downstream do not all refuse one."""
-    for name, value in section.items():
+def _build(make, section: dict, where: str):
+    """make(**section), a class or any other callable.  A value of a
+    parameter make takes must be an int or a float, bools refused: YAML
+    reads 1e-3 or a quoted number as a string, and the range checks
+    downstream do not all refuse one."""
+    names = inspect.signature(make).parameters
+    for name, value in _mapping(section, where).items():
         if name in names and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"'{where}.{name}' must be a number")
-
-
-def _build(cls, section: dict, where: str):
-    _check_numbers(_mapping(section, where), {f.name for f in fields(cls)}, where)
     try:
-        return cls(**section)
+        return make(**section)
     except TypeError as e:
         raise ConfigError(f"bad field in '{where}': {e}") from None
     except ValueError as e:
@@ -173,26 +176,10 @@ def _parse_profile(cfg: dict) -> OutageProfile:
     if not isinstance(section, dict) or len(section) != 1:
         raise ConfigError("'profile' must contain exactly one of: probabilities, physics")
     if "probabilities" in section:
-        probs = dict(_mapping(section["probabilities"], "profile.probabilities"))
-        if "short_ratio" in probs or "short_ratio_conc" in probs:
-            try:
-                kwargs = {
-                    key: probs.pop(key)
-                    for key in (
-                        "p_primary", "p_primary_conc", "p_sec_full",
-                        "p_sec_full_conc", "short_ratio", "short_ratio_conc",
-                    )
-                }
-            except KeyError as e:
-                raise ConfigError(f"profile.probabilities missing field {e}") from None
-            if probs:
-                raise ConfigError(f"unexpected profile fields: {sorted(probs)}")
-            _check_numbers(kwargs, kwargs, "profile.probabilities")
-            try:
-                return OutageProfile.from_ratios(**kwargs)
-            except ValueError as e:
-                raise ConfigError(f"invalid value in 'profile.probabilities': {e}") from None
-        return _build(OutageProfile, section["probabilities"], "profile.probabilities")
+        probs = _mapping(section["probabilities"], "profile.probabilities")
+        ratios = "short_ratio" in probs or "short_ratio_conc" in probs
+        make = OutageProfile.from_ratios if ratios else OutageProfile
+        return _build(make, probs, "profile.probabilities")
     if "physics" in section:
         phys = _mapping(section["physics"], "profile.physics")
         primary = _build(LinkBudget, _need(phys, "primary", "profile.physics"), "physics.primary")
@@ -241,12 +228,6 @@ def _parse_point(cfg: dict) -> tuple:
             _parse_policy(cfg, scheme))
 
 
-def _parse_solver(cfg: dict) -> optimizer.SolverConfig:
-    section = dict(_mapping(cfg.get("solver", {}), "solver"))
-    section.setdefault("seed", cfg.get("seed", 0))
-    return _build(optimizer.SolverConfig, section, "solver")
-
-
 def _parse_int(value, where: str, minimum: int) -> int:
     """value if it is an int >= minimum.  Floats and bools are refused, as
     SolverConfig refuses them, never truncated."""
@@ -257,18 +238,46 @@ def _parse_int(value, where: str, minimum: int) -> int:
     return value
 
 
-def _parse_run(cfg: dict) -> tuple[dict, int, int]:
-    """(sim section, n_slots, seed) of a simulate/validate config."""
+def _parse_seed(cfg: dict) -> int:
+    """The run's one seed: the solver's Sobol seed and the simulator's."""
+    return _parse_int(cfg.get("seed", 0), "seed", 0)
+
+
+def _parse_solver(cfg: dict) -> optimizer.SolverConfig:
+    section = _mapping(cfg.get("solver", {}), "solver")
+    if "seed" in section:
+        raise ConfigError("'solver.seed' is not a solver setting; set the run's 'seed'")
+    return _build(optimizer.SolverConfig, {**section, "seed": _parse_seed(cfg)}, "solver")
+
+
+def _parse_run(cfg: dict) -> tuple[SimSemantics, int, int]:
+    """(semantics, n_slots, seed) of a simulate/validate config."""
     sim_cfg = _mapping(cfg.get("sim", {}), "sim")
     n_slots = _parse_int(sim_cfg.get("n_slots", 1_000_000), "sim.n_slots", 1)
-    return sim_cfg, n_slots, _parse_int(cfg.get("seed", 0), "seed", 0)
+    try:
+        semantics = SimSemantics(str(sim_cfg.get("semantics", "exact")).lower())
+    except ValueError:
+        raise ConfigError(f"unknown sim semantics {sim_cfg.get('semantics')!r}") from None
+    return semantics, n_slots, _parse_seed(cfg)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, header: list, rows: list) -> None:
+    """header and rows as CSV to the file path, or to stdout if path is
+    empty or None."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+def _emit(cfg: dict, header: list, row: list, printed) -> None:
+    """Print the columns of row named in printed as `name: value`, and write
+    the row to the config's out, if it has one."""
+    column = dict(zip(header, row))
+    for name in printed:
+        print(f"{name}: {column[name]}")
+    if cfg.get("out"):
+        _write_csv(cfg["out"], header, [row])
 
 
 def cmd_analyze(cfg: dict) -> int:
@@ -278,11 +287,7 @@ def cmd_analyze(cfg: dict) -> int:
     row = [scheme.value,
            *(_fmt(float(getattr(traffic, name))) for name in ANALYZE_HEADER[1:5]),
            *(_fmt(getattr(report, name)) for name in ANALYZE_HEADER[5:])]
-    print(f"scheme: {scheme.value}")
-    for name, value in zip(ANALYZE_HEADER[5:], row[5:]):
-        print(f"{name}: {value}")
-    if cfg.get("out"):
-        _write_csv(cfg["out"], ANALYZE_HEADER, [row])
+    _emit(cfg, ANALYZE_HEADER, row, ("scheme", *ANALYZE_HEADER[5:]))
     return 0 if report.primary_stable and report.delay_feasible else 2
 
 
@@ -307,13 +312,9 @@ def cmd_optimize(cfg: dict) -> int:
         traffic=_parse_traffic(cfg),
     )
     result = optimizer.solve(problem, _parse_solver(cfg))
-    row = _opt_row(scheme, "", "", result)
-    column = dict(zip(OPT_HEADER, row))
-    for name in ("scheme", "feasible", "mu_s_opt", "mu_p_at_opt", "delay_at_opt",
-                 *optimizer.VAR_NAMES[scheme]):
-        print(f"{name}: {column[name]}")
-    if cfg.get("out"):
-        _write_csv(cfg["out"], OPT_HEADER, [row])
+    printed = ("scheme", "feasible", "mu_s_opt", "mu_p_at_opt", "delay_at_opt",
+               *optimizer.VAR_NAMES[scheme])
+    _emit(cfg, OPT_HEADER, _opt_row(scheme, "", "", result), printed)
     return 0 if result.feasible else 2
 
 
@@ -362,33 +363,21 @@ def cmd_sweep(cfg: dict) -> int:
         for (var, value, scheme, _), result in zip(tasks, results)
     ]
     out = cfg.get("out")
+    _write_csv(out, OPT_HEADER, rows)
     if out:
-        _write_csv(out, OPT_HEADER, rows)
         print(f"wrote {len(rows)} rows to {out}")
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(OPT_HEADER)
-        w.writerows(rows)
     return 0
 
 
 def cmd_simulate(cfg: dict) -> int:
     scheme, profile, sensing, traffic, policy = _parse_point(cfg)
-    sim_cfg, n_slots, seed = _parse_run(cfg)
-    try:
-        semantics = SimSemantics(str(sim_cfg.get("semantics", "exact")).lower())
-    except ValueError:
-        raise ConfigError(f"unknown sim semantics {sim_cfg.get('semantics')!r}") from None
+    semantics, n_slots, seed = _parse_run(cfg)
     stats = simulator.run(scheme, policy, profile, sensing, traffic, semantics, n_slots, seed)
     # the ci_* columns are the half-widths of the statistics they name
     row = [scheme.value, semantics.value, str(n_slots), str(seed),
-           *(_fmt(getattr(stats, name)) for name in SIM_HEADER[4:13]),
-           *(_fmt(stats.ci_halfwidths[name[3:]]) for name in SIM_HEADER[13:])]
-    for name, value in zip(SIM_HEADER[4:13], row[4:13]):
-        print(f"{name}: {value}")
-    print(f"drift_detected: {_fmt(stats.drift_detected)}")
-    if cfg.get("out"):
-        _write_csv(cfg["out"], SIM_HEADER, [row])
+           *(_fmt(getattr(stats, name)) for name in SIM_HEADER[4:14]),
+           *(_fmt(stats.ci_halfwidths[name[3:]]) for name in SIM_HEADER[14:])]
+    _emit(cfg, SIM_HEADER, row, SIM_HEADER[4:14])
     return 0
 
 

@@ -227,7 +227,9 @@ def _degenerate_delay(lam_p, alpha, gamma, eta, pi0):
     """Mean primary delay at eta ~ 1, where the delay closed form is 0/0.
     eta ~ 1 forces alpha ~ 1 and gamma ~ 1, so almost every packet departs
     in one slot; Little's law over the first 64 levels is exact to double
-    precision.  The inputs are 1-d arrays of the affected points."""
+    precision.  A sojourn lasts at least one slot, which the sum can miss
+    by rounding, so the result is at least 1.  The inputs are 1-d arrays of
+    the affected points."""
     # at lam_p = 0 a packet only waits out its own transmissions
     out = 1.0 + (1.0 - alpha) / gamma
     arrivals = lam_p != 0.0
@@ -235,19 +237,13 @@ def _degenerate_delay(lam_p, alpha, gamma, eta, pi0):
         lam_p, alpha, gamma, eta, pi0 = (v[arrivals] for v in (lam_p, alpha, gamma, eta, pi0))
         pi, eps = _levels(lam_p, alpha, gamma, eta, pi0, 64)
         out[arrivals] = np.sum(np.arange(pi.shape[-1]) * (pi + eps), axis=-1) / lam_p
-    return out
-
-
-def _check_chain_inputs(alpha, gamma, lam_p) -> None:
-    for name, v in (("alpha", alpha), ("gamma", gamma), ("lam_p", lam_p)):
-        if np.any(np.asarray(v) < -PROB_TOL) or np.any(np.asarray(v) > 1.0 + PROB_TOL):
-            raise ValueError(f"{name}={v!r} outside [0, 1]")
+    return np.maximum(out, 1.0)
 
 
 def _stable_point(alpha, gamma, lam_p) -> OperatingPoint:
     """closed_forms of a chain given by its rates; raises ValueError on
     rates outside [0, 1] and Unstable when lam_p >= eta."""
-    _check_chain_inputs(alpha, gamma, lam_p)
+    nofeedback._check_chain_inputs(alpha=alpha, gamma=gamma, lam_p=lam_p)
     point = closed_forms(lam_p, alpha, gamma)
     if lam_p >= point.eta:
         raise Unstable(f"lam_p={lam_p} >= eta={point.eta}")

@@ -216,13 +216,25 @@ def secondary_service_rate(
     return closed_forms(lam_p, mu_p, idle, busy, lam_e).mu_s
 
 
-def primary_delay(lam_p: float, mu_p: float):
-    """Mean primary queueing delay (arrival slot to departure slot) in slots."""
-    if np.any(np.asarray(lam_p) < 0) or np.any(np.asarray(mu_p) > 1.0 + PROB_TOL):
-        raise ValueError("need 0 <= lam_p and mu_p <= 1")
+def _check_chain_inputs(**rates) -> None:
+    """Refuse any of the named rates of a primary chain outside [0, 1]."""
+    for name, v in rates.items():
+        if np.any(np.asarray(v) < -PROB_TOL) or np.any(np.asarray(v) > 1.0 + PROB_TOL):
+            raise ValueError(f"{name}={v!r} outside [0, 1]")
+
+
+def _stable_point(lam_p, mu_p) -> OperatingPoint:
+    """closed_forms of a chain given by its rates; raises ValueError on
+    rates outside [0, 1] and Unstable when lam_p >= mu_p."""
+    _check_chain_inputs(lam_p=lam_p, mu_p=mu_p)
     if np.any(lam_p >= mu_p):
         raise Unstable(f"lam_p={lam_p!r} >= mu_p={mu_p!r}")
-    return closed_forms(lam_p, mu_p).delay
+    return closed_forms(lam_p, mu_p)
+
+
+def primary_delay(lam_p: float, mu_p: float):
+    """Mean primary queueing delay (arrival slot to departure slot) in slots."""
+    return _stable_point(lam_p, mu_p).delay
 
 
 def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
@@ -231,13 +243,9 @@ def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
     Arrivals are counted at slot end, so a packet arriving to an empty queue
     is first served in the next slot.
     """
-    if not 0.0 <= lam_p <= 1.0 or not 0.0 <= mu_p <= 1.0:
-        raise ValueError("lam_p and mu_p must be probabilities")
-    if lam_p >= mu_p:
-        raise Unstable(f"lam_p={lam_p} >= mu_p={mu_p}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    nu0 = float(closed_forms(lam_p, mu_p).nu0)
+    nu0 = float(_stable_point(lam_p, mu_p).nu0)
     out = np.empty(k_max + 1)
     out[0] = nu0
     if k_max >= 1:
@@ -265,9 +273,7 @@ def geometric_tail_k(k: int, head: float, rho: float, tol: float) -> int:
 def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
     """Smallest K >= 0 with stationary mass above K below tol; 0 at
     lam_p = 0."""
-    if lam_p >= mu_p:
-        raise Unstable(f"lam_p={lam_p} >= mu_p={mu_p}")
-    nu0 = float(closed_forms(lam_p, mu_p).nu0)
+    nu0 = float(_stable_point(lam_p, mu_p).nu0)
     r = lam_p / ((1.0 - lam_p) * mu_p)
     # nu_1 = nu0 * r, then a geometric tail of ratio r (1-mu_p)
     return geometric_tail_k(0, nu0 * r, r * (1.0 - mu_p), tol)

@@ -116,10 +116,13 @@ def test_unstable_is_a_value_error():
 def test_delay_validation():
     with pytest.raises(Unstable):
         primary_delay(0.5, 0.5)
-    with pytest.raises(ValueError):
-        primary_delay(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        primary_delay(0.3, 1.5)
+    # the chain's three functions share one range check; tail_k_max once
+    # returned 0 and 1 for these rates
+    for chain in (primary_delay, tail_k_max, lambda lam_p, mu_p: stationary_dist(lam_p, mu_p, 4)):
+        with pytest.raises(ValueError, match=r"lam_p=-0.1 outside \[0, 1\]"):
+            chain(-0.1, 0.5)
+        with pytest.raises(ValueError, match=r"mu_p=1.5 outside \[0, 1\]"):
+            chain(0.3, 1.5)
 
 
 @given(st.floats(0.0, 0.9), st.floats(1.0, 100.0))

@@ -330,8 +330,22 @@ def test_fig4_rows_in_the_delay_slack_agree_with_analyze(scheme, lam_p):
     assert bound < rep.delay <= bound + DELAY_SLACK
 
 
+#: success fractions of random_problem with multipacket reception on
+MPR = (0.2, 0.6, 0.9, 0.3, 0.8)
+SENSING = (0.1, 0.08)
+
+
 @settings(max_examples=25, deadline=None)
 @given(prob=random_problems)
+@example(prob=random_problem(0.7, MPR, SENSING, 0.0, 0.8, 2.0, Scheme.FEEDBACK))
+@example(prob=random_problem(0.7, MPR, SENSING, 0.3, 0.0, 2.0, Scheme.NOFEEDBACK))
+@example(prob=random_problem(0.7, MPR, SENSING, 0.3, 0.8, math.inf, Scheme.RANDOM_ACCESS))
+@example(prob=random_problem(0.7, (0.0, 0.6, 0.9, 0.0, 0.8), SENSING, 0.3, 0.8, 2.0,
+                             Scheme.FEEDBACK))
+# a perfect primary link: mu_p = 1, and eta = 1 under feedback
+@example(prob=random_problem(1.0, (1.0, *MPR[1:]), SENSING, 0.99999, 0.8, 2.0, Scheme.FEEDBACK))
+@example(prob=random_problem(1.0, (1.0, *MPR[1:]), SENSING, 0.99999, 0.8, 2.0,
+                             Scheme.NOFEEDBACK))
 def test_feasible_is_analyze_delay_feasible(prob):
     mod = fb if prob.scheme is Scheme.FEEDBACK else nofb
     # the rule behind solve()'s early-out: the silent policy maximises mu_p,
