@@ -384,6 +384,10 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_validate(cfg: dict) -> int:
     scheme, profile, sensing, traffic, policy = _parse_point(cfg)
     _, n_slots, seed = _parse_run(cfg)
+    if "semantics" in cfg.get("sim", {}):
+        raise ConfigError(
+            "'sim.semantics' is not a validate setting; validate runs both semantics"
+        )
     bound_report = simulator.validate_lower_bound(
         scheme, policy, profile, sensing, traffic, n_slots, seed
     )

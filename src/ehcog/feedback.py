@@ -7,11 +7,14 @@ behaves exactly as in the sensing-only scheme.
 
 The primary queue is then a two-phase chain: the queue length together with
 whether the head packet is fresh (success prob alpha per slot) or a
-retransmission (success prob gamma per slot).  Fresh slots see the
-sensing-policy interference pattern; retransmission slots see interference
-with probability lam_e * p_access_retx.  pi_k below is the stationary
-probability of queue length k with a fresh head, eps_k the same with a
-retransmission head.  eta, the mean of alpha and gamma weighted by lam_p and
+retransmission (success prob gamma per slot).  In the access masses of
+nofeedback, a fresh slot sees interference mass I and a retransmission slot
+mass p_access_retx, so alpha = p - lam_e (p - pc) I and
+gamma = p - lam_e (p - pc) p_access_retx are one expression,
+nofeedback.primary_success.  The secondary's brackets are the sensing-only
+idle and busy ones plus retx = p_access_retx p_sec_full_conc.  pi_k below
+is the stationary probability of queue length k with a fresh head, eps_k
+the same with a retransmission head.  eta, the mean of alpha and gamma weighted by lam_p and
 1 - lam_p, is the aggregate service rate that governs stability.
 
 closed_forms() is the one place the queue-level formulas are written;
@@ -77,24 +80,14 @@ def success_probs(
     primary packet per slot.
 
     A fresh slot is indistinguishable from a sensing-only busy slot, so alpha
-    reuses that service rate.  In a retransmission slot the secondary never
-    senses and attacks with p_access_retx when it has energy.
+    is that service rate, the primary success at interference mass
+    I = interference_prob.  In a retransmission slot the secondary never
+    senses and attacks with p_access_retx when it has energy, so gamma is the
+    same expression at mass p_access_retx.
     """
     alpha = nofeedback.primary_service_rate(profile, policy, sensing, lam_e)
-    p, pc = profile.p_primary, profile.p_primary_conc
-    pr = policy.p_access_retx
-    gamma = (1.0 - lam_e) * p + lam_e * (pr * pc + (1.0 - pr) * p)
+    gamma = nofeedback.primary_success(profile, lam_e, policy.p_access_retx)
     return alpha, gamma
-
-
-def _brackets(profile: OutageProfile, policy: PolicyFb, sensing: SensingQuality):
-    """(idle, busy, retx): secondary success probability per energy-endowed
-    slot in which the primary queue is empty, sends a fresh packet, or
-    retransmits.  Empty and fresh-head slots reuse the sensing-only
-    brackets; in a retransmission slot the secondary transmits blindly over
-    the full slot against a busy channel."""
-    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
-    return idle, busy, policy.p_access_retx * profile.p_sec_full_conc
 
 
 class OperatingPoint(NamedTuple):
@@ -102,7 +95,8 @@ class OperatingPoint(NamedTuple):
     point, or at a batch of them when the inputs are arrays.
 
     alpha, gamma           building blocks from success_probs
-    busy, retx             building blocks from _brackets
+    busy, retx             secondary success probability per energy-endowed
+                           slot with a fresh and with a retransmitted head
     eta                    aggregate service rate, the stability threshold
     pi0, sum_eps           probability of an empty queue and of a busy slot
                            with a retransmitted head (the fresh-head busy
@@ -192,7 +186,11 @@ def operating_point(
 ) -> OperatingPoint:
     """closed_forms of a policy (scalar or batched) under traffic."""
     alpha, gamma = success_probs(profile, policy, sensing, traffic.lam_e)
-    idle, busy, retx = _brackets(profile, policy, sensing)
+    # empty and fresh-head slots are the sensing-only ones; in a
+    # retransmission slot the secondary transmits blindly over the full
+    # slot against a busy channel
+    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
+    retx = policy.p_access_retx * profile.p_sec_full_conc
     lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
     return closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
 
@@ -287,20 +285,6 @@ def tail_k_max(alpha: float, gamma: float, lam_p: float, tol: float = TAIL_TOL) 
     r = lam_p / ((1.0 - lam_p) * eta)
     # level k >= 2 holds pi0 (1-alpha) r^2 (r (1-eta))^(k-2) in all
     return nofeedback.geometric_tail_k(1, pi0 * (1.0 - alpha) * r * r, r * (1.0 - eta), tol)
-
-
-def secondary_service_rate(
-    profile: OutageProfile,
-    policy: PolicyFb,
-    sensing: SensingQuality,
-    lam_e: float,
-    stats: FeedbackChainStats,
-):
-    """Saturated secondary throughput under the retransmission-aware scheme,
-    for the chain of stats (alpha, gamma and lam_p = sum_pi, as chain_stats
-    returns them)."""
-    idle, busy, retx = _brackets(profile, policy, sensing)
-    return closed_forms(stats.sum_pi, stats.alpha, stats.gamma, idle, busy, retx, lam_e).mu_s
 
 
 def primary_delay(alpha: float, gamma: float, lam_p: float) -> float:

@@ -10,6 +10,15 @@ else, so the primary queue evolves as a discrete-time single-server queue
 with Bernoulli arrivals (arrivals join at the end of their slot and cannot
 leave in it) and an i.i.d. per-slot success probability mu_p.
 
+The policy enters only through three access masses (access_masses): the
+probability a = (1 - ps) pt that an energy-endowed secondary transmits
+without sensing, b = ps pf that it senses and transmits on a free verdict,
+and c = ps pb that it senses and transmits on a busy verdict.  A busy slot
+then sees interference with probability I = a + pmd b + (1 - pmd) c
+(interference_prob), the primary succeeds with probability
+mu_p = p - lam_e (p - pc) I (primary_success), and the secondary's
+per-slot success brackets are linear in (a, b, c) (service_brackets).
+
 All rate expressions below are plain numpy arithmetic, so policy fields may
 be numpy arrays of broadcastable shapes; every public function then returns
 arrays of their broadcast shape.
@@ -77,14 +86,31 @@ class AnalysisReport:
             raise ValueError("delay must be >= 1 slot when stable")
 
 
-def interference_prob(policy: PolicyNoFb, sensing: SensingQuality):
-    """Probability an energy-endowed secondary transmits in a busy slot."""
+def access_masses(policy: PolicyNoFb):
+    """(a, b, c): the probabilities that an energy-endowed secondary
+    transmits without sensing (a), senses and transmits on a free verdict
+    (b), and senses and transmits on a busy verdict (c).  Every closed form
+    reads the sensing/access policy only through these three masses (and
+    p_access_retx under feedback)."""
     ps = policy.p_sense
-    return (
-        (1.0 - ps) * policy.p_access_direct
-        + ps * sensing.p_missed_detection * policy.p_access_free
-        + ps * (1.0 - sensing.p_missed_detection) * policy.p_access_busy
-    )
+    a = (1.0 - ps) * policy.p_access_direct
+    return a, ps * policy.p_access_free, ps * policy.p_access_busy
+
+
+def interference_prob(policy: PolicyNoFb, sensing: SensingQuality):
+    """Probability an energy-endowed secondary transmits in a busy slot:
+    I = a + pmd b + (1 - pmd) c, since a missed detection reads as free."""
+    a, b, c = access_masses(policy)
+    pmd = sensing.p_missed_detection
+    return a + pmd * b + (1.0 - pmd) * c
+
+
+def primary_success(profile: OutageProfile, lam_e, mass):
+    """Per-slot success probability p - lam_e (p - pc) mass of a primary
+    transmission that an energy-endowed secondary interferes with at
+    probability mass."""
+    p = profile.p_primary
+    return p - lam_e * (p - profile.p_primary_conc) * mass
 
 
 def primary_service_rate(
@@ -93,42 +119,24 @@ def primary_service_rate(
     sensing: SensingQuality,
     lam_e: float,
 ):
-    """Per-slot success probability of a primary transmission.
-
-    Conditions on whether the secondary holds energy (prob lam_e) and, if so,
-    on its sense/no-sense branch and the sensing outcome (the channel is busy,
-    so a correct detection happens with prob 1 - p_missed_detection).
-    """
-    p, pc = profile.p_primary, profile.p_primary_conc
-    ps = policy.p_sense
-    pt, pf, pb = policy.p_access_direct, policy.p_access_free, policy.p_access_busy
-    pmd = sensing.p_missed_detection
-    with_energy = (
-        (1.0 - ps) * (pt * pc + (1.0 - pt) * p)
-        + ps * pmd * (pf * pc + (1.0 - pf) * p)
-        + ps * (1.0 - pmd) * (pb * pc + (1.0 - pb) * p)
-    )
-    return (1.0 - lam_e) * p + lam_e * with_energy
+    """Per-slot success probability of a primary transmission: the secondary
+    holds energy with prob lam_e and then interferes with prob
+    interference_prob."""
+    return primary_success(profile, lam_e, interference_prob(policy, sensing))
 
 
 def service_brackets(
     profile: OutageProfile, policy: PolicyNoFb, sensing: SensingQuality
 ):
     """Secondary success probability per energy-endowed slot, conditioned on
-    the primary queue being (idle, busy).  Shared by both access schemes."""
-    ps = policy.p_sense
-    pt, pf, pb = policy.p_access_direct, policy.p_access_free, policy.p_access_busy
+    the primary queue being (idle, busy).  Shared by both access schemes.
+
+    A sensed transmission uses the short part of the slot and follows a free
+    verdict with prob 1 - pfa in an idle slot and pmd in a busy one."""
+    a, b, c = access_masses(policy)
     pfa, pmd = sensing.p_false_alarm, sensing.p_missed_detection
-    idle = (
-        (1.0 - ps) * pt * profile.p_sec_full
-        + ps * (1.0 - pfa) * pf * profile.p_sec_short
-        + ps * pfa * pb * profile.p_sec_short
-    )
-    busy = (
-        (1.0 - ps) * pt * profile.p_sec_full_conc
-        + ps * pmd * pf * profile.p_sec_short_conc
-        + ps * (1.0 - pmd) * pb * profile.p_sec_short_conc
-    )
+    idle = a * profile.p_sec_full + ((1.0 - pfa) * b + pfa * c) * profile.p_sec_short
+    busy = a * profile.p_sec_full_conc + (pmd * b + (1.0 - pmd) * c) * profile.p_sec_short_conc
     return idle, busy
 
 
@@ -195,25 +203,6 @@ def operating_point(
     mu_p = primary_service_rate(profile, policy, sensing, traffic.lam_e)
     idle, busy = service_brackets(profile, policy, sensing)
     return closed_forms(traffic.lam_p, mu_p, idle, busy, traffic.lam_e, traffic.delay_bound)
-
-
-def secondary_service_rate(
-    profile: OutageProfile,
-    policy: PolicyNoFb,
-    sensing: SensingQuality,
-    lam_e: float,
-    lam_p: float,
-):
-    """Saturated secondary throughput in packets per slot.
-
-    Requires a stable primary queue; its busy probability is lam_p / mu_p.
-    Raises Unstable otherwise.
-    """
-    mu_p = primary_service_rate(profile, policy, sensing, lam_e)
-    if np.any(lam_p >= mu_p):
-        raise Unstable(f"lam_p={lam_p!r} >= mu_p={mu_p!r}")
-    idle, busy = service_brackets(profile, policy, sensing)
-    return closed_forms(lam_p, mu_p, idle, busy, lam_e).mu_s
 
 
 def _check_chain_inputs(**rates) -> None:

@@ -34,11 +34,14 @@ A grid scan makes one scoring pass, recording each chunk's best score, and
 then re-scores the one chunk that holds the winner: the first within
 TIE_TOL of the overall best.  A chunk is never spelled out as a point
 matrix: its outer coordinates are scalars and its inner ones broadcast
-axes, so alpha, idle and busy are computed once per (p_sense, ...,
-p_access_direct) and broadcast over p_access_retx.  The bits do not change:
-every point's score still comes from the same elementwise IEEE operations
-on the same operands, and the score read in C order lists the points
-lexicographically, as the tie-break needs.
+axes, so each quantity is computed only over the axes it depends on.  The
+access masses a, b and c come from the (p_sense, p_access_direct),
+(p_sense, p_access_free) and (p_sense, p_access_busy) slabs, at most 2-D;
+alpha, idle and busy from the four sensing/access axes, broadcast over
+p_access_retx; gamma and retx from p_access_retx alone.  The bits do not
+change: every point's score still comes from the same elementwise IEEE
+operations on the same operands, and the score read in C order lists the
+points lexicographically, as the tie-break needs.
 
 The pattern search moves all starts in lockstep: each sweep scores the
 moved probes of every still-active start in shared closed-form batches,
@@ -298,8 +301,9 @@ def _scan_grid(problem, step):
     n_evals), n_evals counting every grid point once.
 
     Each chunk is scored over broadcast axes, so a quantity is computed only
-    over the axes it depends on (alpha, idle and busy not over
-    p_access_retx).  That changes no bits: every point's score still comes
+    over the axes it depends on: the masses a, b and c on the 2-D slabs of
+    p_sense and one access axis, alpha, idle and busy not over
+    p_access_retx.  That changes no bits: every point's score still comes
     from the same elementwise IEEE operations on the same operands as when
     its coordinates are spelled out in a point matrix.  The scores are
     elementwise and the chunks come in lexicographic order, so the result

@@ -45,7 +45,7 @@ _BASE = {
         "p_access_retx": 0.0,
     },
     "solver": {"n_starts": 64},
-    "sim": {"n_slots": 1_000_000, "semantics": "exact"},
+    "sim": {"n_slots": 1_000_000},
 }
 
 _LAM_P_GRID = [round(0.05 * i, 10) for i in range(14)]  # 0.0 .. 0.65

@@ -277,6 +277,16 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert float(row["ci_mu_s_hat"]) > 0.0
 
 
+def test_presets_leave_the_semantics_to_the_default(tmp_path, capsys):
+    # validate refuses sim.semantics, so no preset may set it; simulate then
+    # runs its default, the exact system
+    overlay = write_yaml(tmp_path / "o.yaml", {"sim": {"semantics": "exact"}})
+    argv = ["simulate", "--preset", "fig4", "--slots", "2000"]
+    assert run_cli(capsys, argv + ["--config", overlay]) == run_cli(capsys, argv)
+    code, _, err = run_cli(capsys, ["validate", "--preset", "fig4", "--slots", "2000"])
+    assert code != 1 and err == ""
+
+
 def test_validate_passes_on_stable_point(capsys):
     code, out, _ = run_cli(capsys, ["validate", "--preset", "fig4", "--slots", "100000"])
     assert code == 0
@@ -494,6 +504,9 @@ def physics_config(cross, **primary):
          "'profile.probabilities.short_ratio' must be a number"),
         # the run's seed is the solver's; a second one would silently win
         (["sweep", "--preset", "fig4"], {"solver": {"seed": 1}}, "'seed'"),
+        # validate runs both semantics, so a chosen one would be ignored
+        (["validate", "--preset", "fig4", "--slots", "10"], {"sim": {"semantics": "backlogged"}},
+         "'sim.semantics' is not a validate setting"),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
@@ -506,7 +519,7 @@ def physics_config(cross, **primary):
          "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string",
          "cross-snr-nan", "physics-zero-times-inf", "out-an-int", "out-a-bool",
          "out-a-closed-fd", "ratio-profile-missing-a-field", "short-ratio-a-string",
-         "solver-seed"],
+         "solver-seed", "validate-semantics"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, message):
     if config is not None:

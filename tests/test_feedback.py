@@ -42,8 +42,10 @@ def test_secondary_rate_with_explicit_stats(preset_profile, preset_sensing):
     # silent except in retransmission slots: throughput comes only from the
     # eps mass, transmitted blindly against the busy channel
     pol = PolicyFb(p_sense=0.0, p_access_direct=0.0, p_access_retx=1.0)
+    idle, busy = nofb.service_brackets(preset_profile, pol, preset_sensing)
+    retx = 1.0 * preset_profile.p_sec_full_conc
     stats = fb.chain_stats(alpha=0.252, gamma=0.7, lam_p=0.126)
-    mu_s = fb.secondary_service_rate(preset_profile, pol, preset_sensing, 0.8, stats)
+    mu_s = fb.closed_forms(stats.sum_pi, stats.alpha, stats.gamma, idle, busy, retx, 0.8).mu_s
     assert mu_s == pytest.approx(0.8 * 0.13464 * 0.182, abs=1e-12)
 
 
@@ -186,9 +188,9 @@ def test_analyze_composition(preset_profile, preset_sensing):
     stats = fb.chain_stats(alpha, gamma, 0.15)
     assert rep.mu_p == alpha
     assert rep.nu0 == stats.pi0
-    assert rep.mu_s == fb.secondary_service_rate(
-        preset_profile, pol, preset_sensing, 0.7, stats
-    )
+    idle, busy = nofb.service_brackets(preset_profile, pol, preset_sensing)
+    retx = 0.9 * preset_profile.p_sec_full_conc
+    assert rep.mu_s == fb.closed_forms(0.15, alpha, gamma, idle, busy, retx, 0.7).mu_s
     assert rep.delay == fb.primary_delay(alpha, gamma, 0.15)
     assert rep.delay_feasible == (rep.delay <= 10.0)
 
@@ -228,7 +230,9 @@ def test_matching_retx_policy_dominates_sensing_only(
     traffic = TrafficParams(lam_p, 0.0, lam_e)
     rep_n = nofb.analyze(preset_profile, base, preset_sensing, traffic)
     rep_f = fb.analyze(preset_profile, lifted, preset_sensing, traffic)
-    assert rep_f.mu_p == pytest.approx(rep_n.mu_p, abs=1e-14)
+    alpha, gamma = fb.success_probs(preset_profile, lifted, preset_sensing, lam_e)
+    assert gamma == alpha
+    assert rep_f.mu_p == rep_n.mu_p
     if abs(lam_p - rep_n.mu_p) > 1e-9:  # away from the stability knife edge
         assert rep_f.delay == pytest.approx(rep_n.delay, rel=1e-9)
     assert rep_f.mu_s >= rep_n.mu_s - 1e-12

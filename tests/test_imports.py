@@ -1,6 +1,9 @@
 """ehcog runs on numpy and pyyaml: no module of the package may import
-scipy, which the tests use as a reference only."""
+scipy, which the tests use as a reference only.  And every function the
+benchmark's tracer wraps must exist under its name."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,18 @@ def test_package_does_not_import_scipy():
     assert paths
     found = {path.name: scipy_imports(path.read_text()) for path in paths}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's tracer wraps exists on its ehcog module,
+    so a rename in the package cannot silently empty a traced layer."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in tracing.TRACED
+        if not callable(getattr(importlib.import_module(f"ehcog.{module}"), name, None))
+    ]
+    assert tracing.TRACED and missing == []

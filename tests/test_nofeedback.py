@@ -1,22 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ehcog import (
     OutageProfile,
+    PolicyFb,
     PolicyNoFb,
     SensingQuality,
     TrafficParams,
     Unstable,
+    feedback,
+    nofeedback,
 )
 from ehcog.nofeedback import (
+    access_masses,
     analyze,
+    closed_forms,
     interference_prob,
+    operating_point,
     primary_delay,
     primary_service_rate,
-    secondary_service_rate,
     service_brackets,
     stationary_dist,
     tail_k_max,
@@ -51,6 +57,11 @@ HAND_POLICY = PolicyNoFb(p_sense=0.0, p_access_direct=1.0)
 
 
 def test_hand_example(preset_profile, preset_sensing):
+    assert access_masses(HAND_POLICY) == (1.0, 0.0, 0.0)
+    sensing_policy = PolicyNoFb(
+        p_sense=0.5, p_access_free=0.8, p_access_busy=0.2, p_access_direct=0.4
+    )
+    assert access_masses(sensing_policy) == (0.2, 0.4, 0.1)
     traffic = TrafficParams(lam_p=0.126, lam_s=1.0, lam_e=0.8)
     mu_p = primary_service_rate(preset_profile, HAND_POLICY, preset_sensing, 0.8)
     assert mu_p == pytest.approx(0.252, abs=1e-12)
@@ -92,21 +103,52 @@ def test_primary_rate_affine_in_energy_rate(profile, policy, sensing):
     assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-14, abs=1e-15)
 
 
+@given(profiles(), policies, sensings, unit)
+def test_primary_rate_is_solo_when_interference_is_harmless(profile, policy, sensing, lam_e):
+    # a secondary that cannot hurt the primary leaves it its solo rate
+    harmless = dataclasses.replace(profile, p_primary_conc=profile.p_primary)
+    assert primary_service_rate(harmless, policy, sensing, lam_e) == profile.p_primary
+
+
 @given(profiles(), policies, sensings, st.floats(0.0, 0.95))
 def test_secondary_rate_bounds(profile, policy, sensing, lam_e):
-    mu_s = secondary_service_rate(profile, policy, sensing, lam_e, lam_p=0.0)
+    traffic = TrafficParams(lam_p=0.0, lam_s=0.0, lam_e=lam_e)
+    mu_s = operating_point(profile, policy, sensing, traffic).mu_s
     assert -1e-15 <= mu_s <= lam_e * profile.p_sec_full + 1e-12
 
 
-def test_secondary_rate_requires_stable_primary(preset_profile, preset_sensing):
-    with pytest.raises(Unstable):
-        secondary_service_rate(
-            preset_profile, HAND_POLICY, preset_sensing, 0.8, lam_p=0.252
-        )
-    with pytest.raises(Unstable):
-        secondary_service_rate(
-            preset_profile, HAND_POLICY, preset_sensing, 0.8, lam_p=0.3
-        )
+@settings(max_examples=200)
+@given(
+    profiles(),
+    st.builds(PolicyFb, st.floats(1e-3, 1.0), unit, unit, unit, unit),
+    sensings,
+    unit,
+    unit,
+    unit,
+    st.floats(1.0, 100.0),
+)
+def test_policy_enters_only_through_access_masses(
+    profile, policy, sensing, u, lam_p, lam_e, delay_bound
+):
+    """A policy re-expressed at another p_sense with the same (a, b, c) and
+    p_access_retx has the same operating point under both schemes."""
+    a, b, c = access_masses(policy)
+    # any p_sense in [max(b, c), 1 - a] keeps the masses reachable
+    lo, hi = max(b, c), 1.0 - a
+    ps = min(lo + u * (hi - lo), hi)
+    assume(0.0 < ps < 1.0)
+    twin = PolicyFb(ps, b / ps, c / ps, min(a / (1.0 - ps), 1.0), policy.p_access_retx)
+    traffic = TrafficParams(lam_p, 0.0, lam_e, delay_bound=delay_bound)
+    for module in (nofeedback, feedback):
+        point = module.operating_point(profile, policy, sensing, traffic)
+        # away from the stability and delay knife edges, where a last-ulp
+        # move may flip a constraint or blow up the delay
+        assume(point.mu_eff - lam_p > 1e-3)
+        assume(abs(point.delay - delay_bound) > 1e-9 * delay_bound)
+        other = module.operating_point(profile, twin, sensing, traffic)
+        for name, value in point._asdict().items():
+            # probabilities to 1e-12 of their unit scale, the delay relative
+            assert getattr(other, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
 
 
 def test_unstable_is_a_value_error():
@@ -205,9 +247,8 @@ def test_analyze_matches_parts_bitwise(preset_profile, preset_sensing):
     traffic = TrafficParams(0.1, 0.2, 0.6, delay_bound=30.0)
     rep = analyze(preset_profile, pol, preset_sensing, traffic)
     assert rep.mu_p == primary_service_rate(preset_profile, pol, preset_sensing, 0.6)
-    assert rep.mu_s == secondary_service_rate(
-        preset_profile, pol, preset_sensing, 0.6, 0.1
-    )
+    idle, busy = service_brackets(preset_profile, pol, preset_sensing)
+    assert rep.mu_s == closed_forms(0.1, rep.mu_p, idle, busy, 0.6).mu_s
     assert rep.delay == primary_delay(0.1, rep.mu_p)
     assert rep.nu0 == 1.0 - 0.1 / rep.mu_p
     assert rep.delay_feasible == (rep.delay <= 30.0)
