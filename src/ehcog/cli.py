@@ -46,6 +46,10 @@ from .simulator import SimSemantics
 
 CONFIG_DIR_ENV = "EHCOG_CONFIG_DIR"
 
+#: the top-level keys of a config
+CONFIG_KEYS = ("scheme", "seed", "profile", "sensing", "policy", "traffic", "solver", "sim",
+               "sweep", "out")
+
 SCHEME_ORDER = (Scheme.FEEDBACK, Scheme.NOFEEDBACK, Scheme.RANDOM_ACCESS)
 
 ANALYZE_HEADER = [
@@ -128,7 +132,7 @@ def _load_config(args) -> dict:
     # open() reads an int or a bool as a file descriptor
     if not isinstance(cfg.get("out"), (str, type(None))):
         raise ConfigError("'out' must be a path")
-    return cfg
+    return _mapping(cfg, "", CONFIG_KEYS)
 
 
 def _need(cfg: dict, key: str, where: str = "config"):
@@ -137,10 +141,16 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _mapping(section, where: str) -> dict:
-    """A config section, which must be a mapping before any field is read."""
+def _mapping(section, where: str, keys=None) -> dict:
+    """A config section, which must be a mapping before any field is read.
+    Given keys, every key of the section must be one of them; the sections
+    built by _build leave that to make's signature instead."""
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be a mapping")
+    unknown = [key for key in section if keys is not None and key not in keys]
+    if unknown:
+        name = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"unknown field '{name}'; expected one of {list(keys)}")
     return section
 
 
@@ -181,7 +191,8 @@ def _parse_profile(cfg: dict) -> OutageProfile:
         make = OutageProfile.from_ratios if ratios else OutageProfile
         return _build(make, probs, "profile.probabilities")
     if "physics" in section:
-        phys = _mapping(section["physics"], "profile.physics")
+        phys = _mapping(section["physics"], "profile.physics",
+                        ("primary", "secondary", "cross", "power_mode"))
         primary = _build(LinkBudget, _need(phys, "primary", "profile.physics"), "physics.primary")
         secondary = _build(LinkBudget, _need(phys, "secondary", "profile.physics"), "physics.secondary")
         cross = _build(CrossSnr, _need(phys, "cross", "profile.physics"), "physics.cross")
@@ -252,7 +263,7 @@ def _parse_solver(cfg: dict) -> optimizer.SolverConfig:
 
 def _parse_run(cfg: dict) -> tuple[SimSemantics, int, int]:
     """(semantics, n_slots, seed) of a simulate/validate config."""
-    sim_cfg = _mapping(cfg.get("sim", {}), "sim")
+    sim_cfg = _mapping(cfg.get("sim", {}), "sim", ("n_slots", "semantics"))
     n_slots = _parse_int(sim_cfg.get("n_slots", 1_000_000), "sim.n_slots", 1)
     try:
         semantics = SimSemantics(str(sim_cfg.get("semantics", "exact")).lower())
@@ -319,7 +330,7 @@ def cmd_optimize(cfg: dict) -> int:
 
 
 def _sweep_tasks(cfg: dict):
-    sweep = _mapping(_need(cfg, "sweep"), "sweep")
+    sweep = _mapping(_need(cfg, "sweep"), "sweep", ("variable", "grid"))
     var = _need(sweep, "variable", "sweep")
     grid = _need(sweep, "grid", "sweep")
     if var not in ("lam_p", "lam_e", "delay_bound", "mpr_on"):

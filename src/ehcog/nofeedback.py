@@ -1,4 +1,5 @@
-"""Closed-form queue analysis for the sensing-only access scheme.
+"""Closed-form queue analysis of the primary chain both access schemes
+share, and the sensing-only scheme itself.
 
 Model recap.  Time is slotted.  The primary transmits the head of its queue
 whenever the queue is nonempty.  The secondary is treated as saturated (it
@@ -6,9 +7,8 @@ always has data) and, whenever its battery is nonempty, it burns one energy
 unit per slot: it either senses and then maybe transmits, or transmits
 outright, according to the policy.  Under that dissipation rule the battery
 is nonempty in a slot with probability lam_e, independently of everything
-else, so the primary queue evolves as a discrete-time single-server queue
-with Bernoulli arrivals (arrivals join at the end of their slot and cannot
-leave in it) and an i.i.d. per-slot success probability mu_p.
+else.  Arrivals are Bernoulli and join at the end of their slot, so they
+cannot leave in it.
 
 The policy enters only through three access masses (access_masses): the
 probability a = (1 - ps) pt that an energy-endowed secondary transmits
@@ -19,12 +19,23 @@ then sees interference with probability I = a + pmd b + (1 - pmd) c
 mu_p = p - lam_e (p - pc) I (primary_success), and the secondary's
 per-slot success brackets are linear in (a, b, c) (service_brackets).
 
+The primary queue is one chain for both schemes: the queue length together
+with whether the head packet is fresh (success prob alpha per slot) or a
+retransmission after a NACK (success prob gamma per slot).  The secondary
+succeeds with prob idle, busy and retx per energy-endowed slot with an
+empty queue, a fresh head and a retransmitted head.  The retransmission-
+aware scheme (feedback) reads gamma and retx off p_access_retx.  A
+sensing-only secondary ignores the NACK and treats a retransmission slot as
+any busy slot, so its chain is the same one at gamma = alpha = mu_p and
+retx = busy, the discrete-time Geo/Geo/1 queue with service prob mu_p.
+
 All rate expressions below are plain numpy arithmetic, so policy fields may
 be numpy arrays of broadcastable shapes; every public function then returns
 arrays of their broadcast shape.
-closed_forms() is the one place the queue-level formulas are written; the
-functions here, analyze, the optimizer and the simulator checks read them
-from it, through operating_point() when they start from a policy.
+closed_forms() is the one place the queue-level formulas are written, and
+report() the one place an AnalysisReport is built; both schemes' analyze,
+the optimizer and the simulator checks read them, through each scheme's
+operating_point() when they start from a policy.
 """
 from __future__ import annotations
 
@@ -45,8 +56,8 @@ from .params import (
 
 #: default truncation tolerance for queue-length tails
 TAIL_TOL = 1e-12
-#: the primary counts as stable when lam_p <= mu - STABILITY_MARGIN, where mu
-#: is the service rate of its queue (mu_p here, eta in the feedback scheme)
+#: the primary counts as stable when lam_p <= eta - STABILITY_MARGIN, where
+#: eta is the aggregate service rate of its chain (mu_p for sensing only)
 STABILITY_MARGIN = 1e-9
 #: a stable point meets the delay constraint when delay <= bound + DELAY_SLACK
 DELAY_SLACK = 1e-9
@@ -57,8 +68,7 @@ class AnalysisReport:
     """Joint summary of one operating point.
 
     mu_p             primary service rate (probability a slot serving the
-                     queue head succeeds); for the retransmission-aware
-                     scheme this slot is the success rate of the
+                     queue head succeeds): alpha, the success rate of the
                      fresh-transmission phase
     mu_s             secondary throughput in packets/slot (saturated data)
     nu0              stationary probability the primary queue is empty
@@ -141,56 +151,87 @@ def service_brackets(
 
 
 class OperatingPoint(NamedTuple):
-    """Closed forms of the sensing-only scheme at one operating point, or at
-    a batch of them when the inputs are arrays.
+    """Closed forms of the primary chain at one operating point, or at a
+    batch of them when the inputs are arrays.
 
-    mu_p, busy        building blocks: the primary service rate and the
-                      busy bracket of service_brackets
-    nu0               probability the primary queue is empty
-    mu_s              saturated secondary throughput in packets/slot
-    delay             mean primary queueing delay in slots
-    stable            lam_p <= mu_p - STABILITY_MARGIN
-    feasible          stable and delay <= delay_bound + DELAY_SLACK
+    alpha, gamma           per-slot success probability of a fresh and of a
+                           retransmitted head packet
+    busy, retx             secondary success probability per energy-endowed
+                           slot with a fresh and with a retransmitted head
+    eta                    aggregate service rate, the stability threshold
+    pi0, sum_eps           probability of an empty queue and of a busy slot
+                           with a retransmitted head (the fresh-head busy
+                           mass is lam_p)
+    mu_s                   saturated secondary throughput in packets/slot
+    delay                  mean primary queueing delay in slots
+    stable                 lam_p <= eta - STABILITY_MARGIN
+    feasible               stable and delay <= delay_bound + DELAY_SLACK
 
-    nu0, mu_s and delay mean something only where lam_p < mu_p.
+    pi0, sum_eps, mu_s and delay mean something only where lam_p < eta.
     """
 
-    mu_p: np.ndarray
+    alpha: np.ndarray
+    gamma: np.ndarray
     busy: np.ndarray
-    nu0: np.ndarray
+    retx: np.ndarray
+    eta: np.ndarray
+    pi0: np.ndarray
+    sum_eps: np.ndarray
     mu_s: np.ndarray
     delay: np.ndarray
     stable: np.ndarray
     feasible: np.ndarray
 
-    @property
-    def mu_eff(self):
-        """The service rate lam_p must stay below."""
-        return self.mu_p
-
 
 def closed_forms(
-    lam_p, mu_p, idle=0.0, busy=0.0, lam_e=0.0, delay_bound=math.inf
+    lam_p,
+    alpha,
+    gamma,
+    idle=0.0,
+    busy=0.0,
+    retx=0.0,
+    lam_e=0.0,
+    delay_bound=math.inf,
 ) -> OperatingPoint:
-    """The queue-level closed forms of the sensing-only scheme.  This is the
-    only place they are written.
+    """The queue-level closed forms of the primary chain.  This is the only
+    place they are written.
 
     The inputs may be arrays of broadcastable shapes, lam_p, lam_e and
     delay_bound included.  Only elementwise IEEE operations, so each entry
     of a batch has the same bits as its point evaluated alone.  Scalar
-    inputs give numpy scalars.  Where lam_p >= mu_p the divisions give inf
+    inputs give numpy scalars.  Where lam_p >= eta the divisions give inf
     or nan instead of raising.
     """
-    mu_p = np.asarray(mu_p, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        occ = lam_p / mu_p  # busy probability
-        nu0 = 1.0 - occ
-        mu_s = lam_e * (nu0 * idle + occ * busy)
-        del occ  # not returned: one less batch-sized array alive below
-        delay = (1.0 - lam_p) / (mu_p - lam_p)
-        stable = lam_p <= mu_p - STABILITY_MARGIN
+        no_arrival = 1.0 - lam_p
+        eta = lam_p * alpha + no_arrival * gamma
+        gap = eta - lam_p
+        pi0 = gap / gamma
+        sum_eps = lam_p * (1.0 - alpha) / gamma
+        # The fresh-head busy mass telescopes to lam_p exactly (each departure
+        # of a fresh head is preceded by exactly one arrival in the long run).
+        mu_s = lam_e * (pi0 * idle + lam_p * busy + sum_eps * retx)
+        # squares by multiplying, never **: numpy squares an array by
+        # multiplying but a scalar through pow(), which rounds differently
+        # for ~0.1% of inputs, and the scalar and batched delays must carry
+        # the same bits
+        delay = (
+            (alpha - eta) * (gap * gap) + (no_arrival * no_arrival) * (1.0 - alpha) * eta
+        ) / (gap * no_arrival * (1.0 - eta) * gamma)
+        # eta ~ 1 makes that 0/0; the rare stable points there are summed
+        degen = (eta >= 1.0 - 1e-9) & (lam_p < eta)
+        if np.any(degen):
+            delay = np.asarray(delay)
+            delay[degen] = _degenerate_delay(
+                *(np.broadcast_to(v, delay.shape)[degen] for v in (lam_p, alpha, gamma, eta, pi0))
+            )
+        stable = lam_p <= eta - STABILITY_MARGIN
         feasible = stable & (delay <= delay_bound + DELAY_SLACK)
-    return OperatingPoint(mu_p, busy, nu0, mu_s, delay, stable, feasible)
+    return OperatingPoint(
+        alpha, gamma, busy, retx, eta, pi0, sum_eps, mu_s, delay, stable, feasible
+    )
 
 
 def operating_point(
@@ -199,73 +240,87 @@ def operating_point(
     sensing: SensingQuality,
     traffic: TrafficParams,
 ) -> OperatingPoint:
-    """closed_forms of a policy (scalar or batched) under traffic."""
+    """closed_forms of a sensing-only policy (scalar or batched) under
+    traffic: both phases serve at mu_p, and a retransmission slot is an
+    ordinary busy slot."""
     mu_p = primary_service_rate(profile, policy, sensing, traffic.lam_e)
     idle, busy = service_brackets(profile, policy, sensing)
-    return closed_forms(traffic.lam_p, mu_p, idle, busy, traffic.lam_e, traffic.delay_bound)
+    lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
+    return closed_forms(lam_p, mu_p, mu_p, idle, busy, busy, lam_e, bound)
 
 
-def _check_chain_inputs(**rates) -> None:
-    """Refuse any of the named rates of a primary chain outside [0, 1]."""
-    for name, v in rates.items():
-        if np.any(np.asarray(v) < -PROB_TOL) or np.any(np.asarray(v) > 1.0 + PROB_TOL):
-            raise ValueError(f"{name}={v!r} outside [0, 1]")
-
-
-def _stable_point(lam_p, mu_p) -> OperatingPoint:
-    """closed_forms of a chain given by its rates; raises ValueError on
-    rates outside [0, 1] and Unstable when lam_p >= mu_p."""
-    _check_chain_inputs(lam_p=lam_p, mu_p=mu_p)
-    if np.any(lam_p >= mu_p):
-        raise Unstable(f"lam_p={lam_p!r} >= mu_p={mu_p!r}")
-    return closed_forms(lam_p, mu_p)
-
-
-def primary_delay(lam_p: float, mu_p: float):
-    """Mean primary queueing delay (arrival slot to departure slot) in slots."""
-    return _stable_point(lam_p, mu_p).delay
-
-
-def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
-    """Stationary queue-length pmf nu_0..nu_k_max of the primary queue.
-
-    Arrivals are counted at slot end, so a packet arriving to an empty queue
-    is first served in the next slot.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    nu0 = float(_stable_point(lam_p, mu_p).nu0)
-    out = np.empty(k_max + 1)
-    out[0] = nu0
+def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
+    """Per-level masses (pi, eps) of stable chains for queue lengths
+    0..k_max, from their aggregates eta and pi0.  lam_p, alpha, gamma, eta
+    and pi0 may be 1-d arrays over points, which become the leading axis of
+    pi and eps."""
+    pi = np.zeros(np.shape(pi0) + (k_max + 1,))
+    eps = np.zeros_like(pi)
+    pi[..., 0] = pi0
+    lam_p, alpha, gamma, eta, pi0 = (
+        np.asarray(v)[..., None] for v in (lam_p, alpha, gamma, eta, pi0)
+    )
     if k_max >= 1:
-        k = np.arange(1, k_max + 1)
-        # nu_k = nu0 * r^k * (1-mu_p)^(k-1) with r = lam_p / ((1-lam_p) mu_p),
-        # written as r * rho^(k-1) with rho = r (1-mu_p) < 1, so it stays
-        # finite at mu_p = 1 and where r^k alone would overflow
-        r = lam_p / ((1.0 - lam_p) * mu_p)
-        out[1:] = nu0 * r * (r * (1.0 - mu_p)) ** (k - 1)
-    return out
+        pi[..., 1:2] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
+        eps[..., 1:2] = pi0 * (lam_p / eta) * (1.0 - alpha)
+    if k_max >= 2:
+        k = np.arange(2, k_max + 1)
+        # geometric levels r^k (1-eta)^(k-2) with r = lam_p / ((1-lam_p) eta),
+        # written as r^2 rho^(k-2) with rho = r (1-eta) < 1, so they stay
+        # finite at eta = 1 and where r^k alone would overflow
+        r = lam_p / ((1.0 - lam_p) * eta)
+        shape = r * r * (r * (1.0 - eta)) ** (k - 2)
+        pi[..., 2:] = pi0 * lam_p * (1.0 - alpha) * shape
+        eps[..., 2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
+    return pi, eps
 
 
-def geometric_tail_k(k: int, head: float, rho: float, tol: float) -> int:
-    """Smallest K >= k whose mass above level K is below tol, for a pmf
-    whose level k + 1 holds head and whose levels above it decay by a ratio
-    rho < 1, so that the mass above K is head * rho^(K-k) / (1 - rho)."""
-    while head / (1.0 - rho) >= tol:
-        head *= rho
-        k += 1
-        if k > 10_000_000:  # pragma: no cover
-            raise RuntimeError("tail does not shrink; check parameters")
-    return k
+def _degenerate_delay(lam_p, alpha, gamma, eta, pi0):
+    """Mean primary delay at eta ~ 1, where the delay closed form is 0/0,
+    by Little's law: level 1 holds L1 and level k >= 2 holds
+    L2 rho^(k-2) (see _levels), so the mean queue length is
+    L1 + L2 (2 - rho) / (1 - rho)^2.  A sojourn lasts at least one slot,
+    which rounding can miss, so the result is at least 1.  The inputs are
+    1-d arrays of the affected points."""
+    # at lam_p = 0 a packet only waits out its own transmissions
+    out = 1.0 + (1.0 - alpha) / gamma
+    arrivals = lam_p != 0.0
+    if np.any(arrivals):
+        lam_p, alpha, gamma, eta, pi0 = (v[arrivals] for v in (lam_p, alpha, gamma, eta, pi0))
+        pi, eps = _levels(lam_p, alpha, gamma, eta, pi0, 2)
+        level = pi + eps
+        rho = lam_p / ((1.0 - lam_p) * eta) * (1.0 - eta)
+        tail = level[:, 2] * (2.0 - rho) / ((1.0 - rho) * (1.0 - rho))
+        out[arrivals] = (level[:, 1] + tail) / lam_p
+    return np.maximum(out, 1.0)
 
 
-def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
-    """Smallest K >= 0 with stationary mass above K below tol; 0 at
-    lam_p = 0."""
-    nu0 = float(_stable_point(lam_p, mu_p).nu0)
-    r = lam_p / ((1.0 - lam_p) * mu_p)
-    # nu_1 = nu0 * r, then a geometric tail of ratio r (1-mu_p)
-    return geometric_tail_k(0, nu0 * r, r * (1.0 - mu_p), tol)
+def report(point: OperatingPoint, traffic: TrafficParams) -> AnalysisReport:
+    """The AnalysisReport of one scalar operating point under traffic, for
+    either scheme.
+
+    mu_p in the report is alpha (the fresh-phase service rate); nu0 is pi0.
+    If the queue is unstable the secondary rate is computed for a saturated
+    primary, whose head packet is then fresh a fraction
+    gamma / (gamma + 1 - alpha) of the time, and the delay is infinite.
+    """
+    alpha, gamma = float(point.alpha), float(point.gamma)
+    if traffic.lam_p < point.eta:
+        nu0, mu_s, delay = point.pi0, point.mu_s, point.delay
+    else:
+        denom = gamma + 1.0 - alpha
+        frac_fresh = gamma / denom if denom > 0 else 1.0
+        saturated = frac_fresh * point.busy + (1.0 - frac_fresh) * point.retx
+        nu0, mu_s, delay = 0.0, traffic.lam_e * saturated, math.inf
+    return AnalysisReport(
+        mu_p=alpha,
+        mu_s=float(mu_s),
+        nu0=float(nu0),
+        delay=float(delay),
+        primary_stable=bool(point.stable),
+        delay_feasible=bool(point.feasible),
+        secondary_stable=bool(traffic.lam_s < mu_s),
+    )
 
 
 def analyze(
@@ -274,22 +329,65 @@ def analyze(
     sensing: SensingQuality,
     traffic: TrafficParams,
 ) -> AnalysisReport:
-    """Full operating-point summary for the sensing-only scheme.
+    """Full operating-point summary for the sensing-only scheme."""
+    return report(operating_point(profile, policy, sensing, traffic), traffic)
 
-    If the primary queue is unstable the secondary rates are reported for the
-    saturated primary (always busy) and the delay is infinite.
+
+def _stable_point(lam_p, alpha, gamma, names=("alpha", "gamma")) -> OperatingPoint:
+    """closed_forms of the chain with the given rates, whose errors call
+    alpha and gamma by names (mu_p twice for the sensing-only chain).
+    Raises ValueError on a rate outside [0, 1], NaN included, and Unstable
+    when lam_p >= eta."""
+    for name, v in zip(("lam_p", *names), (lam_p, alpha, gamma)):
+        arr = np.asarray(v, dtype=float)
+        if not np.all((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL)):
+            raise ValueError(f"{name}={v!r} outside [0, 1]")
+    point = closed_forms(lam_p, alpha, gamma)
+    if np.any(lam_p >= point.eta):
+        raise Unstable(f"lam_p={lam_p!r} >= eta={point.eta}")
+    return point
+
+
+def _tail_k(point: OperatingPoint, lam_p: float, tol: float) -> int:
+    """Smallest K >= 0 whose stationary mass above level K is below tol,
+    for the stable scalar chain point at arrival rate lam_p."""
+    # the mass above level 0 is sum_pi + sum_eps, and sum_pi = lam_p
+    if lam_p + point.sum_eps < tol:
+        return 0
+    eta = float(point.eta)
+    r = lam_p / ((1.0 - lam_p) * eta)
+    rho = r * (1.0 - eta)
+    # level k >= 2 holds pi0 (1-alpha) r^2 rho^(k-2) in all, so the mass
+    # above level k >= 1 is head / (1 - rho), head the mass of level k + 1
+    head, k = float(point.pi0) * (1.0 - float(point.alpha)) * r * r, 1
+    while head / (1.0 - rho) >= tol:
+        head *= rho
+        k += 1
+        if k > 10_000_000:  # pragma: no cover
+            raise RuntimeError("tail does not shrink; check parameters")
+    return k
+
+
+def primary_delay(lam_p: float, mu_p: float):
+    """Mean primary queueing delay (arrival slot to departure slot) in
+    slots under the sensing-only chain."""
+    return _stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p")).delay
+
+
+def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
+    """Stationary queue-length pmf nu_0..nu_k_max of the sensing-only chain.
+
+    Arrivals are counted at slot end, so a packet arriving to an empty queue
+    is first served in the next slot.
     """
-    point = operating_point(profile, policy, sensing, traffic)
-    if traffic.lam_p < point.mu_p:
-        nu0, mu_s, delay = point.nu0, point.mu_s, point.delay
-    else:
-        nu0, mu_s, delay = 0.0, traffic.lam_e * point.busy, math.inf
-    return AnalysisReport(
-        mu_p=float(point.mu_p),
-        mu_s=float(mu_s),
-        nu0=float(nu0),
-        delay=float(delay),
-        primary_stable=bool(point.stable),
-        delay_feasible=bool(point.feasible),
-        secondary_stable=bool(traffic.lam_s < mu_s),
-    )
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    point = _stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p"))
+    pi, eps = _levels(lam_p, mu_p, mu_p, point.eta, point.pi0, k_max)
+    return pi + eps
+
+
+def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
+    """Smallest K >= 0 with stationary mass above K below tol; 0 at
+    lam_p = 0."""
+    return _tail_k(_stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p")), lam_p, tol)

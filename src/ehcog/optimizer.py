@@ -3,12 +3,12 @@
 Decision variables are the sensing/access probabilities in the fixed order
 (p_sense, p_access_free, p_access_busy, p_access_direct[, p_access_retx]);
 the random-access scheme collapses to the single variable p_access_direct.
-Constraints: primary stability lam_p <= mu - STABILITY_MARGIN (mu is mu_p
-for the sensing-only scheme, eta for the retransmission-aware one) and mean
-primary delay <= delay_bound + DELAY_SLACK.  Both tests, like the rates and
-the delay, come from the scheme's operating_point(), the closed forms that
-analyze() reads too, so a result is feasible exactly when analyze() calls
-its policy delay_feasible.
+Constraints: primary stability lam_p <= eta - STABILITY_MARGIN (eta is the
+aggregate service rate of the primary chain, mu_p for the sensing-only
+scheme) and mean primary delay <= delay_bound + DELAY_SLACK.  Both tests,
+like the rates and the delay, come from the scheme's operating_point(), the
+one chain's closed forms that analyze() reads too, so a result is feasible
+exactly when analyze() calls its policy delay_feasible.
 
 solve() is a multi-start pattern search over a tiered merit function
 (feasible points score their throughput, delay violators score in [-2,-1),
@@ -206,15 +206,15 @@ def _evaluate(problem: OptProblem, cols):
     the rows of X.T for an (n, d) point matrix X, or a grid chunk's scalars
     and open-grid axes.  The fields of problem may hold one value per point
     (see _point_problems).  Returns
-    (mu_s, mu_eff, delay, stable, feasible) arrays of the broadcast shape,
-    where mu_eff is the service rate the stability constraint compares
+    (mu_s, eta, delay, stable, feasible) arrays of the broadcast shape,
+    where eta is the service rate the stability constraint compares
     against.  Entries of mu_s and delay at unstable points are unreliable
     and must be read through the masks.
     """
     pol = _policy_from_vector(problem.scheme, cols)
     mod = feedback if problem.scheme is Scheme.FEEDBACK else nofeedback
     point = mod.operating_point(problem.profile, pol, problem.sensing, problem.traffic)
-    return point.mu_s, point.mu_eff, point.delay, point.stable, point.feasible
+    return point.mu_s, point.eta, point.delay, point.stable, point.feasible
 
 
 def _merit(problem: OptProblem, cols):
@@ -223,11 +223,11 @@ def _merit(problem: OptProblem, cols):
     (-3, -2].  Higher is better in every tier."""
     lam_p = problem.traffic.lam_p
     d_bound = problem.traffic.delay_bound
-    mu_s, mu_eff, delay, stable, feasible = _evaluate(problem, cols)
+    mu_s, eta, delay, stable, feasible = _evaluate(problem, cols)
     with np.errstate(invalid="ignore", over="ignore"):
         excess = np.maximum(delay - d_bound, 0.0)
         delay_score = -1.0 - excess / (1.0 + excess)
-        viol = np.clip(lam_p - (mu_eff - STABILITY_MARGIN), 0.0, 1.0)
+        viol = np.clip(lam_p - (eta - STABILITY_MARGIN), 0.0, 1.0)
         unstable_score = -2.0 - viol
         out = np.where(feasible, mu_s, np.where(stable, delay_score, unstable_score))
     return out

@@ -397,7 +397,7 @@ def _check(kind: str, name: str, measured, reference, bound: float, holds) -> Ch
 
 def predict(scheme, policy, profile, sensing, traffic):
     """The closed forms' operating point of a simulated configuration: the
-    nofeedback or feedback OperatingPoint that analyze reads too."""
+    scheme's operating_point, which analyze reads too."""
     mod = feedback if scheme is Scheme.FEEDBACK else nofeedback
     return mod.operating_point(profile, policy, sensing, traffic)
 
@@ -422,7 +422,7 @@ def validate_lower_bound(
     exact = run(scheme, policy, profile, sensing, traffic, SimSemantics.EXACT, n_slots, seed)
     blg = run(scheme, policy, profile, sensing, traffic, SimSemantics.BACKLOGGED, n_slots, seed)
     point = predict(scheme, policy, profile, sensing, traffic)
-    mu_s_analytic = float(point.mu_s) if traffic.lam_p < point.mu_eff else math.nan
+    mu_s_analytic = float(point.mu_s) if traffic.lam_p < point.eta else math.nan
     unstable = exact.drift_detected or blg.drift_detected
     checks = []
     if traffic.lam_s > 0:
@@ -463,7 +463,7 @@ def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
     """
     pairs = []  # (name, measured, predicted, halfwidth)
     ci = stats.ci_halfwidths
-    if lam_p < point.mu_eff:
+    if lam_p < point.eta:
         if stats.scheme is Scheme.FEEDBACK:
             pairs.append(("empty_frac_p vs pi0", stats.empty_frac_p, point.pi0, ci["empty_frac_p"]))
             pairs.append(("retx_frac vs sum_eps", stats.retx_frac, point.sum_eps, ci["retx_frac"]))
@@ -472,10 +472,10 @@ def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
                 pairs.append(("delay_hat vs delay", stats.delay_hat, point.delay, ci["delay_hat"]))
         else:
             if lam_p > 0:
-                pairs.append(("mu_p_hat vs mu_p", stats.mu_p_hat, point.mu_p, ci["mu_p_hat"]))
+                pairs.append(("mu_p_hat vs mu_p", stats.mu_p_hat, point.alpha, ci["mu_p_hat"]))
                 pairs.append(("delay_hat vs delay", stats.delay_hat, point.delay, ci["delay_hat"]))
             pairs.append(("mu_s_hat vs mu_s", stats.mu_s_hat, point.mu_s, ci["mu_s_hat"]))
-            pairs.append(("empty_frac_p vs nu0", stats.empty_frac_p, point.nu0, ci["empty_frac_p"]))
+            pairs.append(("empty_frac_p vs nu0", stats.empty_frac_p, point.pi0, ci["empty_frac_p"]))
     checks = []
     for name, measured, predicted, half in pairs:
         predicted = float(predicted)

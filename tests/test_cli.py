@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import subprocess
@@ -248,6 +249,39 @@ def test_sweep_csv_schema_and_determinism(tmp_path, capsys):
     assert len(lines) == 7
 
 
+#: the benchmark's recorded outputs, and the tolerance its figure_sweep
+#: check allows them (perfbench/worker.py's TOL)
+BENCH_REFERENCE = ROOT / "perfbench" / "reference.json"
+BENCH_TOL = 1e-6
+
+
+def agrees_with_reference(got: str, want: str) -> bool:
+    """One CSV field as the benchmark compares it: equal strings, or
+    numbers within BENCH_TOL."""
+    if got == want:
+        return True
+    try:
+        return math.isclose(float(got), float(want), rel_tol=BENCH_TOL, abs_tol=BENCH_TOL)
+    except ValueError:
+        return False
+
+
+def test_fig4_sweep_matches_the_benchmark_reference(tmp_path, capsys):
+    """The benchmark refuses a run whose fig4 sweep strays from its recorded
+    rows, so a change that moves a policy or a verdict fails here first."""
+    ref = json.loads(BENCH_REFERENCE.read_text())["figure_sweep"]
+    assert ref["seed"] == 0 and ref["size"]["sweep_grid"] is None
+    out = tmp_path / "fig4.csv"
+    code, _, _ = run_cli(capsys, ["sweep", "--preset", "fig4", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(ref["ops"])
+    for got, want in zip(rows, ref["ops"]):
+        assert len(got) == len(want)
+        assert all(map(agrees_with_reference, got, want)), (got, want)
+
+
 def test_sweep_grid_validation(tmp_path, capsys):
     for sweep in (
         {"variable": "lam_p", "grid": [0.2, 0.1, 0.3]},
@@ -419,6 +453,13 @@ PHYSICS_CONFIG = {
 }
 
 
+#: PHYSICS_CONFIG with its power mode under a misspelt key
+PHYSICS_MISSPELT = {**PHYSICS_CONFIG, "profile": {"physics": {
+    **{k: v for k, v in PHYSICS_CONFIG["profile"]["physics"].items() if k != "power_mode"},
+    "power_mod": "fixed_power",
+}}}
+
+
 #: a ratio profile (short_ratio, short_ratio_conc) without a preset under it
 RATIO_CONFIG = {
     "scheme": "nofeedback",
@@ -507,6 +548,13 @@ def physics_config(cross, **primary):
         # validate runs both semantics, so a chosen one would be ignored
         (["validate", "--preset", "fig4", "--slots", "10"], {"sim": {"semantics": "backlogged"}},
          "'sim.semantics' is not a validate setting"),
+        # a misspelt key of a section read by hand was once ignored: the run
+        # went on with the default in its place
+        (["simulate", "--preset", "fig4", "--slots", "10"], {"sim": {"semantic": "backlogged"}},
+         "unknown field 'sim.semantic'"),
+        (["analyze"], PHYSICS_MISSPELT, "unknown field 'profile.physics.power_mod'"),
+        (["sweep", "--preset", "fig4"], {"sweep": {"gird": [0.1]}}, "unknown field 'sweep.gird'"),
+        (["sweep", "--preset", "fig4"], {"solvr": {"n_starts": 32}}, "unknown field 'solvr'"),
     ],
     ids=["simulate-slots-0", "validate-slots-0", "n-slots-abc", "sweep-lam-p-1.5",
          "power-mode-bogus", "optimize-seed-negative", "traffic-not-a-mapping",
@@ -519,7 +567,8 @@ def physics_config(cross, **primary):
          "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string",
          "cross-snr-nan", "physics-zero-times-inf", "out-an-int", "out-a-bool",
          "out-a-closed-fd", "ratio-profile-missing-a-field", "short-ratio-a-string",
-         "solver-seed", "validate-semantics"],
+         "solver-seed", "validate-semantics", "sim-key-misspelt", "physics-key-misspelt",
+         "sweep-key-misspelt", "top-level-key-misspelt"],
 )
 def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, message):
     if config is not None:

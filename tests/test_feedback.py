@@ -45,7 +45,7 @@ def test_secondary_rate_with_explicit_stats(preset_profile, preset_sensing):
     idle, busy = nofb.service_brackets(preset_profile, pol, preset_sensing)
     retx = 1.0 * preset_profile.p_sec_full_conc
     stats = fb.chain_stats(alpha=0.252, gamma=0.7, lam_p=0.126)
-    mu_s = fb.closed_forms(stats.sum_pi, stats.alpha, stats.gamma, idle, busy, retx, 0.8).mu_s
+    mu_s = nofb.closed_forms(stats.sum_pi, stats.alpha, stats.gamma, idle, busy, retx, 0.8).mu_s
     assert mu_s == pytest.approx(0.8 * 0.13464 * 0.182, abs=1e-12)
 
 
@@ -58,6 +58,16 @@ def test_chain_stats_validation():
         fb.state_probs(alpha=0.1, gamma=0.2, lam_p=0.5, k_max=10)
     with pytest.raises(ValueError):
         fb.state_probs(alpha=0.5, gamma=0.5, lam_p=0.1, k_max=-1)
+    # NaN fails every comparison, so a range check written as two
+    # comparisons once let it through: tail_k_max(nan, 0.5, 0.2) gave 1
+    chains = (fb.chain_stats, fb.primary_delay, fb.tail_k_max,
+              lambda alpha, gamma, lam_p: fb.state_probs(alpha, gamma, lam_p, 4))
+    for chain in chains:
+        for alpha, gamma, lam_p, name in ((math.nan, 0.5, 0.2, "alpha"),
+                                          (0.5, math.nan, 0.2, "gamma"),
+                                          (0.5, 0.5, math.nan, "lam_p")):
+            with pytest.raises(ValueError, match=rf"{name}=nan outside \[0, 1\]"):
+                chain(alpha, gamma, lam_p)
 
 
 @given(
@@ -127,6 +137,16 @@ def test_degenerate_full_service_delay():
     # near full load r^k of the summed levels overflows, and once gave nan;
     # a sojourn lasts at least one slot, and the sum once gave 1 - 1 ulp
     assert fb.primary_delay(1.0, 1.0, 0.99999) == 1.0
+    # within the stability margin the levels decay by rho ~ 0.999, and a sum
+    # over the first 64 levels once gave 1.99 slots for a delay near 1000
+    for alpha, gamma in ((1.0 - 1e-9, 1.0 - 1e-9), (1.0 - 1e-9, 1.0 - 5e-10)):
+        lam = gamma / (1.0 + gamma - alpha) - 1e-12  # 1e-12 below eta
+        pi, eps = fb.state_probs(alpha, gamma, lam, fb.tail_k_max(alpha, gamma, lam, 1e-16) + 1)
+        delay = fb.primary_delay(alpha, gamma, lam)
+        assert delay > 500.0
+        assert delay == pytest.approx(series_delay(pi + eps, lam), rel=1e-12)
+        if alpha == gamma:
+            assert nofb.primary_delay(lam, alpha) == delay
 
 
 def test_tail_bound_covers_the_mass():
@@ -176,7 +196,7 @@ def test_tail_k_max_is_minimal_and_its_levels_are_finite(alpha, gamma, u, tol):
     # levels far enough out that what lies beyond them is negligible
     pi, eps = fb.state_probs(alpha, gamma, lam, fb.tail_k_max(alpha, gamma, lam, tol * 1e-6) + 1)
     assert tail_above(pi, eps, k) < tol * (1 + 1e-9)
-    if k > 1:
+    if k > 0:
         assert tail_above(pi, eps, k - 1) >= tol * (1 - 1e-9)
 
 
@@ -190,7 +210,7 @@ def test_analyze_composition(preset_profile, preset_sensing):
     assert rep.nu0 == stats.pi0
     idle, busy = nofb.service_brackets(preset_profile, pol, preset_sensing)
     retx = 0.9 * preset_profile.p_sec_full_conc
-    assert rep.mu_s == fb.closed_forms(0.15, alpha, gamma, idle, busy, retx, 0.7).mu_s
+    assert rep.mu_s == nofb.closed_forms(0.15, alpha, gamma, idle, busy, retx, 0.7).mu_s
     assert rep.delay == fb.primary_delay(alpha, gamma, 0.15)
     assert rep.delay_feasible == (rep.delay <= 10.0)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ehcog import (
     OutageProfile,
@@ -16,6 +16,7 @@ from ehcog import (
     nofeedback,
 )
 from ehcog.nofeedback import (
+    STABILITY_MARGIN,
     access_masses,
     analyze,
     closed_forms,
@@ -143,7 +144,7 @@ def test_policy_enters_only_through_access_masses(
         point = module.operating_point(profile, policy, sensing, traffic)
         # away from the stability and delay knife edges, where a last-ulp
         # move may flip a constraint or blow up the delay
-        assume(point.mu_eff - lam_p > 1e-3)
+        assume(point.eta - lam_p > 1e-3)
         assume(abs(point.delay - delay_bound) > 1e-9 * delay_bound)
         other = module.operating_point(profile, twin, sensing, traffic)
         for name, value in point._asdict().items():
@@ -159,12 +160,57 @@ def test_delay_validation():
     with pytest.raises(Unstable):
         primary_delay(0.5, 0.5)
     # the chain's three functions share one range check; tail_k_max once
-    # returned 0 and 1 for these rates
+    # returned 0 and 1 for these rates, and 0 for a NaN lam_p
     for chain in (primary_delay, tail_k_max, lambda lam_p, mu_p: stationary_dist(lam_p, mu_p, 4)):
         with pytest.raises(ValueError, match=r"lam_p=-0.1 outside \[0, 1\]"):
             chain(-0.1, 0.5)
         with pytest.raises(ValueError, match=r"mu_p=1.5 outside \[0, 1\]"):
             chain(0.3, 1.5)
+        with pytest.raises(ValueError, match=r"lam_p=nan outside \[0, 1\]"):
+            chain(math.nan, 0.5)
+        with pytest.raises(ValueError, match=r"mu_p=nan outside \[0, 1\]"):
+            chain(0.2, math.nan)
+
+
+@st.composite
+def geo_geo_1_points(draw):
+    """(lam, mu, idle, busy, lam_e) of a stable Geo/Geo/1 queue."""
+    mu = draw(st.floats(1e-3, 1.0))
+    lam = mu * draw(st.floats(0.0, 1.0, exclude_max=True))
+    assume(lam <= mu - STABILITY_MARGIN)
+    return lam, mu, draw(unit), draw(unit), draw(unit)
+
+
+#: unit roundoff of a double
+EPS = np.finfo(float).eps / 2
+
+
+@given(geo_geo_1_points())
+@example((0.0, 0.6, 0.5, 0.2, 0.8))
+@example((0.3, 1.0, 0.5, 0.2, 0.8))  # delay exactly 1 slot
+@example((0.5 - 1e-6, 0.5, 0.5, 0.2, 0.8))
+@example((0.2, 0.6, 0.5, 0.2, 0.0))
+def test_one_chain_at_equal_phases_is_the_geo_geo_1_queue(point):
+    """The chain at gamma = alpha = mu, retx = busy against the textbook
+    Geo/Geo/1 expressions, written out here.
+
+    The chain computes the stability gap as eta - lam, where
+    eta = lam mu + (1 - lam) mu can be off mu by an ulp, and the gap then
+    has a relative error of up to 4 EPS mu / (mu - lam).  mu - lam itself is
+    exact for lam >= mu / 2.  So near the edge the tolerance widens by that
+    much; at a relative gap of 1e-3 it is 1.9e-12.
+    """
+    lam, mu, idle, busy, lam_e = point
+    got = closed_forms(lam, mu, mu, idle, busy, busy, lam_e)
+    rel = 1e-12 + 4 * EPS * mu / (mu - lam)
+    # the empty probability 1 - lam / mu, written as (mu - lam) / mu, which
+    # does not cancel near the edge
+    nu0 = (mu - lam) / mu
+    assert got.eta == pytest.approx(mu, rel=1e-12)
+    assert got.pi0 == pytest.approx(nu0, rel=rel)
+    assert got.delay == pytest.approx((1.0 - lam) / (mu - lam), rel=rel)
+    assert got.mu_s == pytest.approx(lam_e * (nu0 * idle + lam / mu * busy), rel=rel)
+    assert got.stable
 
 
 @given(st.floats(0.0, 0.9), st.floats(1.0, 100.0))
@@ -248,9 +294,11 @@ def test_analyze_matches_parts_bitwise(preset_profile, preset_sensing):
     rep = analyze(preset_profile, pol, preset_sensing, traffic)
     assert rep.mu_p == primary_service_rate(preset_profile, pol, preset_sensing, 0.6)
     idle, busy = service_brackets(preset_profile, pol, preset_sensing)
-    assert rep.mu_s == closed_forms(0.1, rep.mu_p, idle, busy, 0.6).mu_s
-    assert rep.delay == primary_delay(0.1, rep.mu_p)
-    assert rep.nu0 == 1.0 - 0.1 / rep.mu_p
+    # the sensing-only scheme is the one chain at gamma = alpha, retx = busy
+    point = closed_forms(0.1, rep.mu_p, rep.mu_p, idle, busy, busy, 0.6)
+    assert rep.mu_s == point.mu_s
+    assert rep.delay == point.delay == primary_delay(0.1, rep.mu_p)
+    assert rep.nu0 == point.pi0
     assert rep.delay_feasible == (rep.delay <= 30.0)
     assert rep.secondary_stable == (0.2 < rep.mu_s)
 

@@ -312,7 +312,6 @@ def test_solve_and_analyze_agree_at_eta_one():
 #: DELAY_SLACK, where solve() and analyze() must apply the same slack
 FIG4_SLACK_ROWS = [
     (Scheme.RANDOM_ACCESS, 0.05),
-    (Scheme.RANDOM_ACCESS, 0.4),
     (Scheme.NOFEEDBACK, 0.4),
     (Scheme.FEEDBACK, 0.4),
 ]
@@ -381,15 +380,14 @@ def test_batched_closed_forms_match_scalar_analyze_bitwise(scheme, lam_p):
         rep = mod.analyze(profile, policy, sensing, traffic)
         assert rep.primary_stable == batch.stable[i]
         assert rep.delay_feasible == batch.feasible[i]
-        if lam_p < batch.mu_eff[i]:
-            nu0 = batch.pi0 if scheme is Scheme.FEEDBACK else batch.nu0
-            assert same_bits(rep.nu0, nu0[i]) and same_bits(rep.mu_s, batch.mu_s[i])
+        if lam_p < batch.eta[i]:
+            assert same_bits(rep.nu0, batch.pi0[i]) and same_bits(rep.mu_s, batch.mu_s[i])
             assert same_bits(rep.delay, batch.delay[i])
-            n_degenerate += bool(batch.mu_eff[i] >= 1.0 - 1e-9)
+            n_degenerate += bool(batch.eta[i] >= 1.0 - 1e-9)
         else:
             n_unstable += 1
     assert n_unstable > 0 or lam_p < 0.9
-    assert n_degenerate > 0 or scheme is Scheme.NOFEEDBACK
+    assert n_degenerate > 0
 
 
 @pytest.mark.parametrize("max_sweeps", [None, 3], ids=["full", "capped"])
@@ -466,24 +464,17 @@ def test_closed_forms_with_per_point_traffic_match_scalar_bitwise(scheme):
     alpha[near] = 1.0 - 1e-11 * rng.random(near.sum())
     gamma[near] = 1.0 - 1e-11 * rng.random(near.sum())
     bound = rng.choice([1.0, 1.5, 2.0, 5.0, math.inf], lam_p.size)
-    if scheme is Scheme.FEEDBACK:
-        batch = fb.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
-
-        def one(i):
-            args = (lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
-            return fb.closed_forms(*(float(v[i]) for v in args))
-
-    else:
-        batch = nofb.closed_forms(lam_p, alpha, idle, busy, lam_e, bound)
-
-        def one(i):
-            return nofb.closed_forms(*(float(v[i]) for v in (lam_p, alpha, idle, busy, lam_e, bound)))
-
+    if scheme is Scheme.NOFEEDBACK:
+        # the sensing-only instance of the chain
+        gamma, retx = alpha, busy
+    args = (lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
+    batch = nofb.closed_forms(*args)
     n_degenerate = np.zeros(len(PER_POINT_LAM_P), dtype=int)
     for i in range(lam_p.size):
-        for name, value in zip(batch._fields, one(i)):
+        one = nofb.closed_forms(*(float(v[i]) for v in args))
+        for name, value in zip(batch._fields, one):
             assert same_bits(np.broadcast_to(getattr(batch, name), lam_p.shape)[i], value), (name, i)
-        n_degenerate[owner[i]] += bool(batch.stable[i] and batch.mu_eff[i] >= 1.0 - 1e-9)
+        n_degenerate[owner[i]] += bool(batch.stable[i] and batch.eta[i] >= 1.0 - 1e-9)
     assert np.all(n_degenerate > 0)
 
 
