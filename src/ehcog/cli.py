@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import yaml
 
-from . import feedback, nofeedback, optimizer, simulator
+from . import optimizer, simulator
 from .outage import CrossSnr, build_profile
 from .params import (
     LinkBudget,
@@ -219,10 +219,10 @@ def _parse_traffic(cfg: dict) -> TrafficParams:
 
 def _parse_policy(cfg: dict, scheme: Scheme) -> PolicyNoFb:
     section = dict(_mapping(_need(cfg, "policy"), "policy"))
-    if scheme is Scheme.FEEDBACK:
-        return _build(PolicyFb, section, "policy")
-    section.pop("p_access_retx", None)
-    policy = _build(PolicyNoFb, section, "policy")
+    # one policy section serves every scheme; only feedback reads p_access_retx
+    if "p_access_retx" not in scheme.policy_class.__dataclass_fields__:
+        section.pop("p_access_retx", None)
+    policy = _build(scheme.policy_class, section, "policy")
     if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0:
         raise ConfigError(f"random_access requires 'policy.p_sense' = 0, got {policy.p_sense!r}")
     return policy
@@ -293,8 +293,7 @@ def _emit(cfg: dict, header: list, row: list, printed) -> None:
 
 def cmd_analyze(cfg: dict) -> int:
     scheme, profile, sensing, traffic, policy = _parse_point(cfg)
-    mod = feedback if scheme is Scheme.FEEDBACK else nofeedback
-    report = mod.analyze(profile, policy, sensing, traffic)
+    report = scheme.analysis.analyze(profile, policy, sensing, traffic)
     row = [scheme.value,
            *(_fmt(float(getattr(traffic, name))) for name in ANALYZE_HEADER[1:5]),
            *(_fmt(getattr(report, name)) for name in ANALYZE_HEADER[5:])]
@@ -324,7 +323,7 @@ def cmd_optimize(cfg: dict) -> int:
     )
     result = optimizer.solve(problem, _parse_solver(cfg))
     printed = ("scheme", "feasible", "mu_s_opt", "mu_p_at_opt", "delay_at_opt",
-               *optimizer.VAR_NAMES[scheme])
+               *scheme.variables)
     _emit(cfg, OPT_HEADER, _opt_row(scheme, "", "", result), printed)
     return 0 if result.feasible else 2
 
@@ -399,23 +398,16 @@ def cmd_validate(cfg: dict) -> int:
         raise ConfigError(
             "'sim.semantics' is not a validate setting; validate runs both semantics"
         )
-    bound_report = simulator.validate_lower_bound(
+    report = simulator.validate_lower_bound(
         scheme, policy, profile, sensing, traffic, n_slots, seed
     )
-    # the lower-bound run's backlogged half is the run the closed forms
-    # describe, so it is checked against them instead of being run again
-    checks = simulator.residual_checks(
-        bound_report.backlogged,
-        simulator.predict(scheme, policy, profile, sensing, traffic),
-        traffic.lam_p,
-    )
-    every = checks + bound_report.checks
+    every = report.closed_form + report.checks
     rows = []
     for c in every:
         rows.append([_fmt(getattr(c, name)) for name in VALIDATE_HEADER])
         measures = " ".join(f"{n}={v}" for n, v in zip(VALIDATE_HEADER[2:6], rows[-1][2:6]))
         print(f"[{c.kind}] {c.name}: {measures} {'PASS' if c.passed else 'FAIL'}")
-    unstable = bound_report.unstable or not checks
+    unstable = report.unstable or not report.closed_form
     if cfg.get("out"):
         _write_csv(cfg["out"], VALIDATE_HEADER, rows)
     if unstable:

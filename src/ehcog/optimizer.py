@@ -1,13 +1,14 @@
 """Constrained maximisation of the secondary throughput over policy vectors.
 
-Decision variables are the sensing/access probabilities in the fixed order
-(p_sense, p_access_free, p_access_busy, p_access_direct[, p_access_retx]);
-the random-access scheme collapses to the single variable p_access_direct.
-Constraints: primary stability lam_p <= eta - STABILITY_MARGIN (eta is the
-aggregate service rate of the primary chain, mu_p for the sensing-only
-scheme) and mean primary delay <= delay_bound + DELAY_SLACK.  Both tests,
-like the rates and the delay, come from the scheme's operating_point(), the
-one chain's closed forms that analyze() reads too, so a result is feasible
+Decision variables are the policy fields of Scheme.variables, in that
+order: the fields of the scheme's policy class (p_sense, p_access_free,
+p_access_busy, p_access_direct[, p_access_retx]), or p_access_direct alone
+for random access.  Constraints: primary stability
+lam_p <= eta - STABILITY_MARGIN (eta is the aggregate service rate of the
+primary chain, mu_p for the sensing-only scheme) and mean primary delay
+<= delay_bound + DELAY_SLACK.  Both tests, like the rates and the delay,
+come from the operating_point() of Scheme.analysis, the one chain's closed
+forms that analyze() reads too, so a result is feasible
 exactly when analyze() calls its policy delay_feasible.
 
 solve() is a multi-start pattern search over a tiered merit function
@@ -70,31 +71,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import feedback, nofeedback
 from .nofeedback import STABILITY_MARGIN
 from .params import (
     OutageProfile,
-    PolicyFb,
     PolicyNoFb,
     Scheme,
     SensingQuality,
     TrafficParams,
     unchecked,
 )
-
-#: policy-vector component names per scheme, in lexicographic-tie-break order
-VAR_NAMES = {
-    Scheme.NOFEEDBACK: ("p_sense", "p_access_free", "p_access_busy", "p_access_direct"),
-    Scheme.FEEDBACK: (
-        "p_sense",
-        "p_access_free",
-        "p_access_busy",
-        "p_access_direct",
-        "p_access_retx",
-    ),
-    Scheme.RANDOM_ACCESS: ("p_access_direct",),
-}
-
 
 @dataclass(frozen=True)
 class OptProblem:
@@ -178,31 +163,23 @@ class OptResult:
     meta: SolverMeta
 
 
-def _dim(scheme: Scheme) -> int:
-    return len(VAR_NAMES[scheme])
-
-
 def _policy_from_vector(scheme: Scheme, x) -> PolicyNoFb:
-    """Map a point of the unit box to a policy dataclass.  Accepts arrays in
-    the columns, in which case the fields hold arrays.  Every point the
-    optimizer makes is a grid value or clipped to [0, 1], so the policy is
-    built without the range checks that outside input gets."""
+    """Map a point of the unit box (scheme.variables) to a policy
+    dataclass.  Accepts arrays in the columns, in which case the fields hold
+    arrays.  Every point the optimizer makes is a grid value or clipped to
+    [0, 1], so the policy is built without the range checks that outside
+    input gets."""
     if scheme is Scheme.RANDOM_ACCESS:
         return unchecked(PolicyNoFb, 0.0, 0.0, 0.0, x[0])
-    if scheme is Scheme.NOFEEDBACK:
-        return unchecked(PolicyNoFb, x[0], x[1], x[2], x[3])
-    return unchecked(PolicyFb, x[0], x[1], x[2], x[3], x[4])
-
-
-def _vector_from_policy(scheme: Scheme, policy: PolicyNoFb) -> np.ndarray:
-    return np.array([getattr(policy, name) for name in VAR_NAMES[scheme]])
+    return unchecked(scheme.policy_class, *x)
 
 
 def _evaluate(problem: OptProblem, cols):
     """Vectorised constraint/objective evaluation: a thin call into the
     scheme's closed forms, the same ones analyze() reads.
 
-    cols is a sequence of d broadcastable policy columns in VAR_NAMES order:
+    cols is a sequence of d broadcastable policy columns in the order of
+    problem.scheme.variables:
     the rows of X.T for an (n, d) point matrix X, or a grid chunk's scalars
     and open-grid axes.  The fields of problem may hold one value per point
     (see _point_problems).  Returns
@@ -212,8 +189,9 @@ def _evaluate(problem: OptProblem, cols):
     and must be read through the masks.
     """
     pol = _policy_from_vector(problem.scheme, cols)
-    mod = feedback if problem.scheme is Scheme.FEEDBACK else nofeedback
-    point = mod.operating_point(problem.profile, pol, problem.sensing, problem.traffic)
+    point = problem.scheme.analysis.operating_point(
+        problem.profile, pol, problem.sensing, problem.traffic
+    )
     return point.mu_s, point.eta, point.delay, point.stable, point.feasible
 
 
@@ -309,7 +287,7 @@ def _scan_grid(problem, step):
     elementwise and the chunks come in lexicographic order, so the result
     does not depend on GRID_CHUNK either.
     """
-    d = _dim(problem.scheme)
+    d = len(problem.scheme.variables)
     vals = _grid_values(step)
     n_evals = len(vals) ** d
     chunk_best = np.fromiter(
@@ -333,12 +311,11 @@ def _finish(problem: OptProblem, x, meta: SolverMeta) -> OptResult:
     path so they match later hand recomputation bit for bit."""
     feasible = x is not None
     if not feasible:
-        x = np.zeros(_dim(problem.scheme))
+        x = np.zeros(len(problem.scheme.variables))
     policy = _policy_from_vector(problem.scheme, [float(v) for v in x])
-    if problem.scheme is Scheme.FEEDBACK:
-        report = feedback.analyze(problem.profile, policy, problem.sensing, problem.traffic)
-    else:
-        report = nofeedback.analyze(problem.profile, policy, problem.sensing, problem.traffic)
+    report = problem.scheme.analysis.analyze(
+        problem.profile, policy, problem.sensing, problem.traffic
+    )
     return OptResult(
         policy=policy,
         mu_s=report.mu_s if feasible else 0.0,
@@ -522,7 +499,7 @@ def _start_points(problem: OptProblem, cfg: SolverConfig, sobol=None):
     audit grid holds no feasible point, and the evaluations that grid spent.
     sobol is _sobol_points of the problem's scheme, which every problem of
     that scheme shares; it is drawn here if not given."""
-    d = _dim(problem.scheme)
+    d = len(problem.scheme.variables)
     audit_x, _, audit_evals = _scan_grid(problem, AUDIT_STEP)
     if audit_x is None:
         return np.empty((0, d)), audit_evals
@@ -566,7 +543,7 @@ def solve_many(problems, config: SolverConfig | None = None) -> list[OptResult]:
         if not index:
             continue
         group = [problems[k] for k in index]
-        sobol = _sobol_points(_dim(scheme), cfg)
+        sobol = _sobol_points(len(scheme.variables), cfg)
         starts, audit_evals = zip(*(_start_points(p, cfg, sobol) for p in group))
         owner = np.repeat(np.arange(len(group)), [len(x0) for x0 in starts])
         X, M, used = _pattern_search(group, owner, np.vstack(starts))

@@ -32,11 +32,37 @@ class PowerMode(enum.Enum):
 
 
 class Scheme(enum.Enum):
-    """Secondary access scheme."""
+    """Secondary access scheme, and the facts every layer reads from it.
+
+    Random access is the sensing-only policy with p_sense = 0; feedback is
+    the sensing-only policy plus p_access_retx.  policy_class is the
+    scheme's policy dataclass, variables the fields the optimizer searches
+    (in its tie-break order) and analysis the module of its closed forms.
+    """
 
     NOFEEDBACK = "nofeedback"
     FEEDBACK = "feedback"
     RANDOM_ACCESS = "random_access"
+
+    @property
+    def policy_class(self) -> type:
+        return PolicyFb if self is Scheme.FEEDBACK else PolicyNoFb
+
+    @property
+    def variables(self) -> tuple:
+        if self is Scheme.RANDOM_ACCESS:
+            return ("p_access_direct",)
+        return tuple(self.policy_class.__dataclass_fields__)
+
+    @property
+    def analysis(self):
+        # imported per call: both modules import this one, and a wrapper
+        # set on a module attribute must see every call
+        from . import feedback, nofeedback
+
+        if self is Scheme.FEEDBACK:
+            return feedback
+        return nofeedback
 
 
 def _check_prob(name: str, value, tol: float = PROB_TOL) -> None:

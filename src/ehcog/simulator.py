@@ -55,10 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import feedback, nofeedback
 from .params import (
     OutageProfile,
-    PolicyFb,
     PolicyNoFb,
     Scheme,
     SensingQuality,
@@ -248,8 +246,8 @@ def run(
     use_feedback = scheme is Scheme.FEEDBACK
     if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0.0:
         raise ValueError("random access requires p_sense = 0")
-    if use_feedback and not isinstance(policy, PolicyFb):
-        raise ValueError("feedback scheme needs a PolicyFb")
+    if not isinstance(policy, scheme.policy_class):
+        raise ValueError(f"{scheme.value} scheme needs a {scheme.policy_class.__name__}")
     backlogged = semantics is SimSemantics.BACKLOGGED
 
     gens = {
@@ -366,7 +364,9 @@ class LowerBoundReport:
 
     checks compare the exact-semantics run against the backlogged one and
     against the closed forms; they are asserted only when neither run shows
-    queue drift (unstable=False).
+    queue drift (unstable=False).  closed_form holds the backlogged run's
+    residual checks against the closed forms (closed_form_checks), none at
+    an unstable point; all_passed reads checks alone.
     """
 
     exact: SimStats
@@ -374,6 +374,7 @@ class LowerBoundReport:
     mu_s_analytic: float
     unstable: bool
     checks: tuple
+    closed_form: tuple
 
     @property
     def all_passed(self) -> bool:
@@ -395,13 +396,6 @@ def _check(kind: str, name: str, measured, reference, bound: float, holds) -> Ch
     return Check(kind, name, measured, reference, residual, bound, bool(holds or bound == math.inf))
 
 
-def predict(scheme, policy, profile, sensing, traffic):
-    """The closed forms' operating point of a simulated configuration: the
-    scheme's operating_point, which analyze reads too."""
-    mod = feedback if scheme is Scheme.FEEDBACK else nofeedback
-    return mod.operating_point(profile, policy, sensing, traffic)
-
-
 def validate_lower_bound(
     scheme: Scheme,
     policy: PolicyNoFb,
@@ -414,14 +408,16 @@ def validate_lower_bound(
     """Run both semantics with common random numbers and check the claimed
     ordering: the backlogged variant never beats the exact system, and the
     closed form never exceeds the exact system (beyond Monte Carlo noise).
+    The backlogged run is closed_form_checks', so the report also carries
+    its residual checks (closed_form) without a second run.
 
     With lam_s = 0 the secondary never sends real packets, so the secondary-
     side checks are vacuous; the primary side is checked instead (dummy
     packets can only hurt the primary).
     """
     exact = run(scheme, policy, profile, sensing, traffic, SimSemantics.EXACT, n_slots, seed)
-    blg = run(scheme, policy, profile, sensing, traffic, SimSemantics.BACKLOGGED, n_slots, seed)
-    point = predict(scheme, policy, profile, sensing, traffic)
+    blg, closed_form = closed_form_checks(scheme, policy, profile, sensing, traffic, n_slots, seed)
+    point = scheme.analysis.operating_point(profile, policy, sensing, traffic)
     mu_s_analytic = float(point.mu_s) if traffic.lam_p < point.eta else math.nan
     unstable = exact.drift_detected or blg.drift_detected
     checks = []
@@ -449,12 +445,14 @@ def validate_lower_bound(
         mu_s_analytic=mu_s_analytic,
         unstable=unstable,
         checks=tuple(checks),
+        closed_form=closed_form,
     )
 
 
 def residual_checks(stats: SimStats, point, lam_p: float) -> tuple:
     """Compare a backlogged run with the closed forms' predictions (point,
-    from predict() at the run's configuration) at 3 standard errors.
+    the scheme's operating_point() at the run's configuration) at 3
+    standard errors.
 
     For the sensing-only scheme the predictions are the service rates, the
     empty-queue probability and the delay; the retransmission-aware scheme
@@ -500,5 +498,5 @@ def closed_form_checks(
     """Backlogged-semantics run compared against every applicable closed
     form by residual_checks.  Returns (stats, checks)."""
     stats = run(scheme, policy, profile, sensing, traffic, SimSemantics.BACKLOGGED, n_slots, seed)
-    point = predict(scheme, policy, profile, sensing, traffic)
+    point = scheme.analysis.operating_point(profile, policy, sensing, traffic)
     return stats, residual_checks(stats, point, traffic.lam_p)

@@ -230,7 +230,7 @@ def scan_grid_points(problem, step):
     """
     from ehcog import optimizer
 
-    d = optimizer._dim(problem.scheme)
+    d = len(problem.scheme.variables)
     vals = optimizer._grid_values(step)
     best = -math.inf
     n_evals = 0

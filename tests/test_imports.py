@@ -1,9 +1,12 @@
 """ehcog runs on numpy and pyyaml: no module of the package may import
 scipy, which the tests use as a reference only.  And every function the
-benchmark's tracer wraps must exist under its name."""
+benchmark's tracer wraps must exist under its name, and see every call."""
 import ast
+import collections
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,43 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"ehcog.{module}"), name, None))
     ]
     assert tracing.TRACED and missing == []
+
+
+
+@pytest.mark.parametrize("scheme", ["nofeedback", "feedback", "random_access"])
+def test_closed_forms_are_looked_up_at_call_time(monkeypatch, scheme):
+    """Every layer reaches a scheme's closed forms as the module attributes
+    scheme.analysis.analyze and .operating_point, where the tracer puts its
+    wrappers, so a wrapper set there sees each call."""
+    from ehcog import cli, feedback, nofeedback, optimizer, presets, simulator
+
+    calls = collections.Counter()
+    for module in (nofeedback, feedback):
+        for name in ("analyze", "operating_point"):
+
+            def counted(*args, _f=getattr(module, name), _key=(module, name)):
+                calls[_key] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    # random access shares the sensing-only closed forms
+    own = feedback if scheme == "feedback" else nofeedback
+
+    def went_through(*names):
+        seen = dict(calls)
+        calls.clear()
+        return {module for module, _ in seen} == {own} and all(seen.get((own, n)) for n in names)
+
+    cfg = {**presets.get_preset("fig4"), "scheme": scheme}
+    scheme, profile, sensing, traffic, policy = cli._parse_point(cfg)
+    assert scheme.analysis is own
+    problem = optimizer.OptProblem(scheme, profile, sensing, traffic)
+    optimizer.solve(problem, optimizer.SolverConfig(n_starts=32))
+    assert went_through("operating_point", "analyze")
+    optimizer.grid_oracle(problem, 0.5)
+    assert went_through("operating_point", "analyze")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["analyze", "--preset", "fig4", "--scheme", scheme.value])
+    assert went_through("analyze")
+    simulator.validate_lower_bound(scheme, policy, profile, sensing, traffic, 1_000, 0)
+    assert went_through("operating_point")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import itertools
 import math
@@ -30,7 +31,6 @@ from ehcog.optimizer import (
     SOBOL_POLY,
     SOBOL_VINIT,
     SolverMeta,
-    VAR_NAMES,
     _directions,
     _grid_chunks,
     _grid_values,
@@ -42,7 +42,6 @@ from ehcog.optimizer import (
     _scan_grid,
     _sobol_points,
     _start_points,
-    _vector_from_policy,
 )
 from ehcog.presets import PRESETS, get_preset
 from conftest import traced_peak
@@ -94,15 +93,25 @@ def same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def vector(scheme, policy) -> np.ndarray:
+    """The policy's point of the scheme's search box."""
+    return np.array([getattr(policy, name) for name in scheme.variables])
+
+
 def test_variable_order():
-    assert VAR_NAMES[Scheme.NOFEEDBACK] == (
+    assert Scheme.NOFEEDBACK.variables == (
         "p_sense",
         "p_access_free",
         "p_access_busy",
         "p_access_direct",
     )
-    assert VAR_NAMES[Scheme.FEEDBACK][4] == "p_access_retx"
-    assert VAR_NAMES[Scheme.RANDOM_ACCESS] == ("p_access_direct",)
+    assert Scheme.FEEDBACK.variables == tuple(f.name for f in dataclasses.fields(PolicyFb))
+    assert Scheme.FEEDBACK.variables == (*Scheme.NOFEEDBACK.variables, "p_access_retx")
+    assert Scheme.RANDOM_ACCESS.variables == ("p_access_direct",)
+    assert Scheme.FEEDBACK.policy_class is PolicyFb
+    assert Scheme.NOFEEDBACK.policy_class is Scheme.RANDOM_ACCESS.policy_class is PolicyNoFb
+    assert Scheme.FEEDBACK.analysis is fb
+    assert Scheme.NOFEEDBACK.analysis is Scheme.RANDOM_ACCESS.analysis is nofb
 
 
 def test_idle_primary_wants_full_blind_access(preset_profile, preset_sensing):
@@ -117,7 +126,7 @@ def test_idle_primary_wants_full_blind_access(preset_profile, preset_sensing):
     assert res.mu_s == pytest.approx(0.8 * 0.6065, abs=1e-12)
     g = grid_oracle(prob, step=0.5)
     assert g.mu_s == pytest.approx(res.mu_s, abs=1e-12)
-    assert _vector_from_policy(Scheme.NOFEEDBACK, g.policy).tolist() == [0, 0, 0, 1]
+    assert vector(Scheme.NOFEEDBACK, g.policy).tolist() == [0, 0, 0, 1]
 
 
 def test_silent_policy_sets_the_feasibility_boundary(
@@ -131,7 +140,7 @@ def test_silent_policy_sets_the_feasibility_boundary(
         for res in (solve(prob, FAST), grid_oracle(prob, step=0.25)):
             assert not res.feasible
             assert res.mu_s == 0.0
-            assert not np.any(_vector_from_policy(scheme, res.policy))
+            assert not np.any(vector(scheme, res.policy))
 
 
 def test_unstable_even_when_silent(preset_profile, preset_sensing):
@@ -149,7 +158,7 @@ def test_no_energy_means_no_throughput(preset_profile, preset_sensing):
     res = grid_oracle(prob, step=0.5)
     assert res.feasible  # the primary alone meets a 2-slot delay bound
     assert res.mu_s == 0.0
-    assert not np.any(_vector_from_policy(Scheme.NOFEEDBACK, res.policy))
+    assert not np.any(vector(Scheme.NOFEEDBACK, res.policy))
     assert solve(prob, FAST).mu_s == 0.0
 
 
@@ -193,8 +202,8 @@ def test_deterministic_for_fixed_config(preset_profile, preset_sensing):
     a = solve(prob, FAST)
     b = solve(prob, FAST)
     assert a.mu_s == b.mu_s and a.delay == b.delay
-    va = _vector_from_policy(Scheme.FEEDBACK, a.policy)
-    vb = _vector_from_policy(Scheme.FEEDBACK, b.policy)
+    va = vector(Scheme.FEEDBACK, a.policy)
+    vb = vector(Scheme.FEEDBACK, b.policy)
     assert va.tolist() == vb.tolist()
     assert a.meta == b.meta
 
@@ -223,7 +232,7 @@ def test_policies_stay_in_the_unit_box(preset_profile, preset_sensing):
     for scheme in Scheme:
         prob = make_problem(preset_profile, preset_sensing, scheme, 0.2, 3.0)
         res = solve(prob, FAST)
-        vec = _vector_from_policy(scheme, res.policy)
+        vec = vector(scheme, res.policy)
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
         if scheme is Scheme.FEEDBACK:
             assert isinstance(res.policy, PolicyFb)
@@ -282,7 +291,7 @@ def test_grid_tie_break_is_lexicographic(preset_profile, preset_sensing):
         preset_profile, preset_sensing, Scheme.NOFEEDBACK, 0.0, math.inf
     )
     g = grid_oracle(prob, step=0.5)
-    assert _vector_from_policy(Scheme.NOFEEDBACK, g.policy).tolist() == [0, 0, 0, 1]
+    assert vector(Scheme.NOFEEDBACK, g.policy).tolist() == [0, 0, 0, 1]
 
 
 def test_result_type(preset_profile, preset_sensing):
@@ -349,7 +358,7 @@ def test_feasible_is_analyze_delay_feasible(prob):
     mod = fb if prob.scheme is Scheme.FEEDBACK else nofb
     # the rule behind solve()'s early-out: the silent policy maximises mu_p,
     # so it is feasible iff any policy is, and it lies on every grid
-    silent = _policy_from_vector(prob.scheme, [0.0] * len(VAR_NAMES[prob.scheme]))
+    silent = _policy_from_vector(prob.scheme, [0.0] * len(prob.scheme.variables))
     silent_feasible = mod.analyze(prob.profile, silent, prob.sensing, prob.traffic).delay_feasible
     for res in (solve(prob, FAST), grid_oracle(prob, step=0.1)):
         rep = mod.analyze(prob.profile, res.policy, prob.sensing, prob.traffic)
@@ -367,7 +376,7 @@ def test_batched_closed_forms_match_scalar_analyze_bitwise(scheme, lam_p):
     sensing = SensingQuality(0.1, 0.08)
     traffic = TrafficParams(lam_p, 0.5, 0.8, 1.5)
     mod = fb if scheme is Scheme.FEEDBACK else nofb
-    d = len(VAR_NAMES[scheme])
+    d = len(scheme.variables)
     rng = np.random.default_rng(3)
     X = np.vstack([rng.random((3000, d)), 1e-10 * rng.random((50, d)), np.zeros(d), np.ones(d)])
     batch = mod.operating_point(profile, _policy_from_vector(scheme, X.T), sensing, traffic)
@@ -490,7 +499,7 @@ def test_gathered_problems_score_each_point_as_its_own_problem(
         for lam_p in PER_POINT_LAM_P
         for lam_e, bound in ((0.8, 1.5), (0.3, math.inf))
     ]
-    d = len(VAR_NAMES[scheme])
+    d = len(scheme.variables)
     rng = np.random.default_rng(5)
     X = np.vstack([rng.random((3000, d)), 1e-10 * rng.random((1000, d))])
     owner = rng.integers(len(problems), size=X.shape[0])
@@ -521,7 +530,7 @@ def test_chunked_grid_scan_matches_whole_grid(
 ):
     prob = make_problem(preset_profile, preset_sensing, scheme, lam_p, 2.0)
     scans = []
-    for chunk in (11 ** len(VAR_NAMES[scheme]), optimizer.GRID_CHUNK, 1000):
+    for chunk in (11 ** len(scheme.variables), optimizer.GRID_CHUNK, 1000):
         monkeypatch.setattr(optimizer, "GRID_CHUNK", chunk)
         scans.append(_scan_grid(prob, 0.1))
     whole = scans[0]
@@ -621,7 +630,7 @@ def test_sobol_constants_are_the_joe_kuo_direction_numbers():
     with importlib.resources.as_file(npz) as path, np.load(path) as table:
         poly, vinit = table["poly"], table["vinit"]
     d = len(SOBOL_POLY)
-    assert d == len(SOBOL_VINIT) >= max(map(len, VAR_NAMES.values()))
+    assert d == len(SOBOL_VINIT) >= max(len(scheme.variables) for scheme in Scheme)
     assert poly[:d].tolist() == list(SOBOL_POLY)
     for k, row in enumerate(SOBOL_VINIT):
         assert vinit[k].tolist() == list(row) + [0] * (vinit.shape[1] - len(row))

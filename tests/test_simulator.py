@@ -17,7 +17,7 @@ from ehcog import (
     validate_lower_bound,
 )
 from ehcog import simulator
-from ehcog.simulator import predict, residual_checks
+from ehcog.simulator import residual_checks
 from conftest import PRESET_PROFILE, PRESET_SENSING, traced_peak
 from oracles import run_slots
 
@@ -175,6 +175,12 @@ def test_exact_run_dominates_backlogged_bound(preset_profile, preset_sensing):
     assert len(rep.checks) == 2
     assert rep.all_passed, rep.checks
     assert rep.mu_s_analytic == pytest.approx(0.3154, abs=1e-12)
+    # the backlogged half is closed_form_checks' run, checked the same way
+    _, checks = closed_form_checks(
+        Scheme.NOFEEDBACK, HAND_POLICY, preset_profile, preset_sensing, HAND_TRAFFIC,
+        n_slots=200_000,
+    )
+    assert rep.closed_form == checks
 
 
 def test_lower_bound_primary_side_when_no_data(preset_profile, preset_sensing):
@@ -418,9 +424,12 @@ def test_check_verdicts_are_python_bools():
     # the CLI writes a verdict as true/false; a numpy bool would print False
     config = hand_config(Scheme.NOFEEDBACK)
     stats = run(*config, BACKLOGGED, 20_000, 0)
-    starved = hand_config(Scheme.NOFEEDBACK, TrafficParams(0.126, 1.0, 0.2))
-    checks = residual_checks(stats, predict(*starved), HAND_TRAFFIC.lam_p)
+    scheme, policy, profile, sensing, starved = hand_config(
+        Scheme.NOFEEDBACK, TrafficParams(0.126, 1.0, 0.2)
+    )
+    point = scheme.analysis.operating_point(profile, policy, sensing, starved)
+    checks = residual_checks(stats, point, HAND_TRAFFIC.lam_p)
     assert not any(c.passed for c in checks)
     assert all(type(c.passed) is bool for c in checks)
     rep = validate_lower_bound(*config, 20_000, 0)
-    assert all(type(c.passed) is bool for c in rep.checks)
+    assert all(type(c.passed) is bool for c in rep.checks + rep.closed_form)
