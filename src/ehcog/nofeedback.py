@@ -206,8 +206,11 @@ def closed_forms(
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         no_arrival = 1.0 - lam_p
-        eta = lam_p * alpha + no_arrival * gamma
-        gap = eta - lam_p
+        # eta = lam_p alpha + (1 - lam_p) gamma, and the gap eta - lam_p,
+        # written around gamma: at alpha = gamma both are exact
+        shift = lam_p * (alpha - gamma)
+        eta = gamma + shift
+        gap = (gamma - lam_p) + shift
         pi0 = gap / gamma
         sum_eps = lam_p * (1.0 - alpha) / gamma
         # The fresh-head busy mass telescopes to lam_p exactly (each departure

@@ -181,10 +181,6 @@ def geo_geo_1_points(draw):
     return lam, mu, draw(unit), draw(unit), draw(unit)
 
 
-#: unit roundoff of a double
-EPS = np.finfo(float).eps / 2
-
-
 @given(geo_geo_1_points())
 @example((0.0, 0.6, 0.5, 0.2, 0.8))
 @example((0.3, 1.0, 0.5, 0.2, 0.8))  # delay exactly 1 slot
@@ -192,21 +188,16 @@ EPS = np.finfo(float).eps / 2
 @example((0.2, 0.6, 0.5, 0.2, 0.0))
 def test_one_chain_at_equal_phases_is_the_geo_geo_1_queue(point):
     """The chain at gamma = alpha = mu, retx = busy against the textbook
-    Geo/Geo/1 expressions, written out here.
-
-    The chain computes the stability gap as eta - lam, where
-    eta = lam mu + (1 - lam) mu can be off mu by an ulp, and the gap then
-    has a relative error of up to 4 EPS mu / (mu - lam).  mu - lam itself is
-    exact for lam >= mu / 2.  So near the edge the tolerance widens by that
-    much; at a relative gap of 1e-3 it is 1.9e-12.
-    """
+    Geo/Geo/1 expressions, written out here.  At alpha = gamma the chain's
+    eta is gamma and its gap gamma - lam, both exact, so the tolerance
+    stays 1e-12 up to the stability edge."""
     lam, mu, idle, busy, lam_e = point
     got = closed_forms(lam, mu, mu, idle, busy, busy, lam_e)
-    rel = 1e-12 + 4 * EPS * mu / (mu - lam)
+    rel = 1e-12
     # the empty probability 1 - lam / mu, written as (mu - lam) / mu, which
     # does not cancel near the edge
     nu0 = (mu - lam) / mu
-    assert got.eta == pytest.approx(mu, rel=1e-12)
+    assert got.eta == mu
     assert got.pi0 == pytest.approx(nu0, rel=rel)
     assert got.delay == pytest.approx((1.0 - lam) / (mu - lam), rel=rel)
     assert got.mu_s == pytest.approx(lam_e * (nu0 * idle + lam / mu * busy), rel=rel)
