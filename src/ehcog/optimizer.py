@@ -1,15 +1,14 @@
 """Constrained maximisation of the secondary throughput over policy vectors.
 
-Decision variables are the policy fields of Scheme.variables, in that
-order: the fields of the scheme's policy class (p_sense, p_access_free,
-p_access_busy, p_access_direct[, p_access_retx]), or p_access_direct alone
-for random access.  Constraints: primary stability
-lam_p <= eta - STABILITY_MARGIN (eta is the aggregate service rate of the
-primary chain, mu_p for the sensing-only scheme) and mean primary delay
-<= delay_bound + DELAY_SLACK.  Both tests, like the rates and the delay,
-come from the operating_point() of Scheme.analysis, the one chain's closed
-forms that analyze() reads too, so a result is feasible
-exactly when analyze() calls its policy delay_feasible.
+Decision variables are the policy fields of scheme.variables, in that
+order (p_sense, p_access_free, p_access_busy, p_access_direct[,
+p_access_retx]); the random-access scheme has p_access_direct alone.
+Constraints: primary stability lam_p <= eta - STABILITY_MARGIN (eta is the
+aggregate service rate of the primary chain, mu_p for the sensing-only
+scheme) and mean primary delay <= delay_bound + DELAY_SLACK.  Both tests,
+like the rates and the delay, come from scheme.analysis.operating_point(),
+the one chain's closed forms that analyze() reads too, so a result is
+feasible exactly when analyze() calls its policy delay_feasible.
 
 solve() is a multi-start pattern search over a tiered merit function
 (feasible points score their throughput, delay violators score in [-2,-1),
@@ -164,11 +163,10 @@ class OptResult:
 
 
 def _policy_from_vector(scheme: Scheme, x) -> PolicyNoFb:
-    """Map a point of the unit box (scheme.variables) to a policy
-    dataclass.  Accepts arrays in the columns, in which case the fields hold
-    arrays.  Every point the optimizer makes is a grid value or clipped to
-    [0, 1], so the policy is built without the range checks that outside
-    input gets."""
+    """Map a point of the unit box to a policy dataclass.  Accepts arrays in
+    the columns, in which case the fields hold arrays.  Every point the
+    optimizer makes is a grid value or clipped to [0, 1], so the policy is
+    built without the range checks that outside input gets."""
     if scheme is Scheme.RANDOM_ACCESS:
         return unchecked(PolicyNoFb, 0.0, 0.0, 0.0, x[0])
     return unchecked(scheme.policy_class, *x)
@@ -179,10 +177,9 @@ def _evaluate(problem: OptProblem, cols):
     scheme's closed forms, the same ones analyze() reads.
 
     cols is a sequence of d broadcastable policy columns in the order of
-    problem.scheme.variables:
-    the rows of X.T for an (n, d) point matrix X, or a grid chunk's scalars
-    and open-grid axes.  The fields of problem may hold one value per point
-    (see _point_problems).  Returns
+    problem.scheme.variables: the rows of X.T for an (n, d) point matrix X,
+    or a grid chunk's scalars and open-grid axes.  The fields of problem may
+    hold one value per point (see _point_problems).  Returns
     (mu_s, eta, delay, stable, feasible) arrays of the broadcast shape,
     where eta is the service rate the stability constraint compares
     against.  Entries of mu_s and delay at unstable points are unreliable
