@@ -219,9 +219,12 @@ def _parse_traffic(cfg: dict) -> TrafficParams:
 
 def _parse_policy(cfg: dict, scheme: Scheme) -> PolicyNoFb:
     section = dict(_mapping(_need(cfg, "policy"), "policy"))
-    # one policy section serves every scheme; only feedback reads p_access_retx
+    # one policy section serves every scheme; only feedback reads
+    # p_access_retx, so the others take it at 0 alone, as the presets set it
     if "p_access_retx" not in scheme.policy_class.__dataclass_fields__:
-        section.pop("p_access_retx", None)
+        retx = section.pop("p_access_retx", 0.0)
+        if isinstance(retx, bool) or retx != 0:
+            raise ConfigError(f"{scheme.value} requires 'policy.p_access_retx' = 0, got {retx!r}")
     policy = _build(scheme.policy_class, section, "policy")
     if scheme is Scheme.RANDOM_ACCESS and policy.p_sense != 0:
         raise ConfigError(f"random_access requires 'policy.p_sense' = 0, got {policy.p_sense!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import nofeedback
-from .params import PROB_TOL, OutageProfile, PolicyFb, SensingQuality, TrafficParams
+from .params import PROB_TOL, OutageProfile, PolicyFb, PolicyNoFb, SensingQuality, TrafficParams
 from .nofeedback import TAIL_TOL, AnalysisReport
 
 
@@ -77,6 +77,31 @@ def success_probs(
     return alpha, gamma
 
 
+def fresh_rates(
+    profile: OutageProfile,
+    policy: PolicyNoFb,
+    sensing: SensingQuality,
+    lam_e: float,
+):
+    """(alpha, idle, busy): the rates of empty and fresh-head slots, which
+    are the sensing-only ones.  They read only the sensing/access fields of
+    policy, so p_access_retx does not move them."""
+    alpha = nofeedback.primary_service_rate(profile, policy, sensing, lam_e)
+    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
+    return alpha, idle, busy
+
+
+def chain_at(profile: OutageProfile, alpha, idle, busy, p_access_retx, traffic: TrafficParams):
+    """nofeedback.closed_forms of the chain with fresh_rates alpha, idle and
+    busy at retransmission access p_access_retx.  In a retransmission slot
+    the secondary transmits blindly over the full slot against a busy
+    channel, so gamma is the primary success at mass p_access_retx."""
+    gamma = nofeedback.primary_success(profile, traffic.lam_e, p_access_retx)
+    retx = p_access_retx * profile.p_sec_full_conc
+    lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
+    return nofeedback.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
+
+
 def operating_point(
     profile: OutageProfile,
     policy: PolicyFb,
@@ -85,14 +110,8 @@ def operating_point(
 ) -> nofeedback.OperatingPoint:
     """nofeedback.closed_forms of a policy (scalar or batched) under
     traffic."""
-    alpha, gamma = success_probs(profile, policy, sensing, traffic.lam_e)
-    # empty and fresh-head slots are the sensing-only ones; in a
-    # retransmission slot the secondary transmits blindly over the full
-    # slot against a busy channel
-    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
-    retx = policy.p_access_retx * profile.p_sec_full_conc
-    lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
-    return nofeedback.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
+    rates = fresh_rates(profile, policy, sensing, traffic.lam_e)
+    return chain_at(profile, *rates, policy.p_access_retx, traffic)
 
 
 def chain_stats(alpha: float, gamma: float, lam_p: float) -> FeedbackChainStats:

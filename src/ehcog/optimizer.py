@@ -36,12 +36,18 @@ TIE_TOL of the overall best.  A chunk is never spelled out as a point
 matrix: its outer coordinates are scalars and its inner ones broadcast
 axes, so each quantity is computed only over the axes it depends on.  The
 access masses a, b and c come from the (p_sense, p_access_direct),
-(p_sense, p_access_free) and (p_sense, p_access_busy) slabs, at most 2-D;
-alpha, idle and busy from the four sensing/access axes, broadcast over
-p_access_retx; gamma and retx from p_access_retx alone.  The bits do not
-change: every point's score still comes from the same elementwise IEEE
-operations on the same operands, and the score read in C order lists the
-points lexicographically, as the tie-break needs.
+(p_sense, p_access_free) and (p_sense, p_access_busy) slabs, at most 2-D.
+The bits do not change: every point's score still comes from the same
+elementwise IEEE operations on the same operands, and the score read in C
+order lists the points lexicographically, as the tie-break needs.
+
+A feedback scan reads each p_access_retx fiber (the grid values of pr at
+fixed other fields) mostly at its ends: mu_s is monotone in pr and the
+feasible values of pr are a prefix of the fiber, so its best grid point is
+its first or its last feasible one, which a bisection on the grid index
+finds (_scan_grid gives the argument).  The fibers within 2 TIE_TOL of the
+best are then scored in full, so the best and the winner are those of the
+whole grid bit for bit.  n_evals still counts every grid point.
 
 The pattern search moves all starts in lockstep: each sweep scores the
 moved probes of every still-active start in shared closed-form batches,
@@ -70,6 +76,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import feedback
 from .nofeedback import STABILITY_MARGIN
 from .params import (
     OutageProfile,
@@ -103,10 +110,11 @@ MIN_STEP = 1e-6
 AUDIT_STEP = 0.1
 #: score window treated as a tie (broken lexicographically)
 TIE_TOL = 1e-12
-#: most points per closed-form batch of every grid scan.  Scoring a feedback
-#: batch costs about 100-130 ns a point at 2.6k-33k points against 170-200 ns
-#: at 130k-195k, where its temporaries (~180 B a point in all) no longer fit
-#: in cache.  The cap also holds a scan's peak memory near 2 MB at any step.
+#: most points (or fibers, in a feedback scan) per closed-form batch of every
+#: grid scan.  Scoring a batch costs about 42-47 ns a point at 16k-33k points
+#: against 67-71 ns at 131k, where its temporaries no longer fit in cache
+#: (either scheme, on a 2-vCPU x86-64 VM).  The cap also holds a scan's traced
+#: peak memory to 1-3 MB at steps 0.1-0.02.
 GRID_CHUNK = 1 << 14
 #: Joe & Kuo (2008) primitive polynomials and initial direction numbers of
 #: the first five Sobol dimensions, as in their new-joe-kuo-6.21201 table
@@ -266,6 +274,96 @@ def _grid_score(problem, cols):
     return np.where(feas, mu_s, -math.inf)
 
 
+def _fiber_best(problem, cols, vals):
+    """Best score of each p_access_retx fiber of a feedback grid: cols is a
+    chunk of the (p_sense, p_access_free, p_access_busy, p_access_direct)
+    grid, and each of its points heads the fiber of the m grid values of
+    p_access_retx.  Returns an array of the chunk's broadcast shape.
+
+    alpha, idle and busy are computed once per chunk, and each fiber is
+    scored at its first and last values.  mu_s is monotone along a fiber
+    and the feasible values are a prefix of it (see _scan_grid), so a
+    fiber feasible at both ends or falling has its best at one of them.  A
+    rising fiber feasible at the first value only is bisected on the grid
+    index for its last feasible value, where its best is.  A fiber is
+    falling where mu_s at the last value, read whether feasible or not, is
+    not above mu_s at the first: the expression is the same one on both
+    sides of the feasibility edge.
+    """
+    profile, traffic = problem.profile, problem.traffic
+    policy = unchecked(PolicyNoFb, *cols)
+    rates = feedback.fresh_rates(profile, policy, problem.sensing, traffic.lam_e)
+    shape = np.broadcast_shapes(*map(np.shape, cols))
+    alpha, idle, busy = (np.broadcast_to(v, shape).ravel() for v in rates)
+
+    def score(j, rows=slice(None)):
+        point = feedback.chain_at(profile, alpha[rows], idle[rows], busy[rows], vals[j], traffic)
+        return np.where(point.feasible, point.mu_s, -math.inf), point.mu_s
+
+    (first, mu_first), (last, mu_last) = score(0), score(-1)
+    best = np.maximum(first, last)
+    cut = np.flatnonzero((first > -math.inf) & (last == -math.inf) & ~(mu_last <= mu_first))
+    # lo is feasible and hi is not, and at_lo is the score at lo
+    lo, hi, at_lo = np.zeros_like(cut), np.full_like(cut, len(vals) - 1), first[cut]
+    while np.any(open_ := hi - lo > 1):
+        mid = (lo[open_] + hi[open_]) // 2
+        s = score(mid, cut[open_])[0]
+        ok = s > -math.inf
+        lo[open_] = np.where(ok, mid, lo[open_])
+        hi[open_] = np.where(ok, hi[open_], mid)
+        at_lo[open_] = np.where(ok, s, at_lo[open_])
+    best[cut] = np.maximum(first[cut], at_lo)
+    return best.reshape(shape)
+
+
+def _near_fibers(problem, chunks, vals, floor, threshold):
+    """Score in full, through _grid_score, every fiber of the 4-D chunks
+    whose _fiber_best is at least floor.  Returns the first of their points
+    in lexicographic order that scores at least threshold (None if none
+    does) and the best of their scores."""
+    m = len(vals)
+    per = max(1, GRID_CHUNK // m)
+    x, top = None, -math.inf
+    for cols in chunks:
+        shape = np.broadcast_shapes(*map(np.shape, cols))
+        near = np.flatnonzero(_fiber_best(problem, cols, vals).ravel() >= floor)
+        heads = [np.broadcast_to(c, shape).ravel()[near] for c in cols]
+        for i in range(0, near.size, per):
+            part = [c[i : i + per] for c in heads]
+            rows = _grid_score(problem, (*(c[:, None] for c in part), vals))
+            top = max(top, float(np.max(rows)))
+            hits = np.flatnonzero(rows >= threshold)
+            if x is None and hits.size:
+                f, j = divmod(int(hits[0]), m)
+                x = np.array([*(c[f] for c in part), vals[j]])
+    return x, top
+
+
+def _scan_fibers(problem, vals):
+    """(x or None, best_score) of a feedback grid scan (see _scan_grid).
+
+    The pass records each 4-D chunk's best fiber.  A fiber's interior can
+    beat its ends by rounding alone, by a few ulps where it is flat in exact
+    arithmetic (at alpha = 1, say).  So every fiber within 2 TIE_TOL of the
+    best is scored in full, which makes the best exact, and the winner is
+    the first of their points within TIE_TOL of it: every fiber that holds
+    such a point is among them.  If the full scores raise the best, the
+    near fibers are walked once more for the winner.
+    """
+    chunks = list(_grid_chunks(vals, 4))
+    chunk_best = np.array([np.max(_fiber_best(problem, cols, vals)) for cols in chunks])
+    best = float(np.max(chunk_best))
+    if not math.isfinite(best):
+        return None, best
+    floor = best - 2 * TIE_TOL
+    near = [chunks[k] for k in np.flatnonzero(chunk_best >= floor)]
+    while True:
+        x, top = _near_fibers(problem, near, vals, floor, best - TIE_TOL)
+        if top <= best:
+            return x, best
+        best = top
+
+
 def _scan_grid(problem, step):
     """Exhaustive grid scan: one scoring pass plus one re-scored chunk.
 
@@ -277,16 +375,30 @@ def _scan_grid(problem, step):
 
     Each chunk is scored over broadcast axes, so a quantity is computed only
     over the axes it depends on: the masses a, b and c on the 2-D slabs of
-    p_sense and one access axis, alpha, idle and busy not over
-    p_access_retx.  That changes no bits: every point's score still comes
-    from the same elementwise IEEE operations on the same operands as when
-    its coordinates are spelled out in a point matrix.  The scores are
-    elementwise and the chunks come in lexicographic order, so the result
-    does not depend on GRID_CHUNK either.
+    p_sense and one access axis.  That changes no bits: every point's score
+    still comes from the same elementwise IEEE operations on the same
+    operands as when its coordinates are spelled out in a point matrix.  The
+    scores are elementwise and the chunks come in lexicographic order, so
+    the result does not depend on GRID_CHUNK either.
+
+    A feedback grid (_scan_fibers) walks only its first four axes, and
+    scores each point there by the best of its fiber, the m grid values of
+    p_access_retx (pr) it heads.  With the other four fields fixed, alpha,
+    idle and busy are fixed and gamma = p - lam_e (p - pc) pr falls as pr
+    grows, so mu_s = lam_e [(1 - lam_p) idle + lam_p busy
+    + lam_p (1 - alpha) (pr p_sec_full_conc - idle) / gamma]
+    is linear-fractional in pr, hence monotone.  eta does not rise and the
+    delay does not fall as pr grows, so the feasible values of a fiber are a
+    prefix of it, and its best grid value is its first or its last feasible
+    one, which a bisection on the grid index finds (_fiber_best).  pr is
+    the innermost axis, so the first fiber within TIE_TOL of the best holds
+    the first point within TIE_TOL.
     """
     d = len(problem.scheme.variables)
     vals = _grid_values(step)
     n_evals = len(vals) ** d
+    if problem.scheme is Scheme.FEEDBACK:
+        return (*_scan_fibers(problem, vals), n_evals)
     chunk_best = np.fromiter(
         (np.max(_grid_score(problem, cols)) for cols in _grid_chunks(vals, d)),
         dtype=float,

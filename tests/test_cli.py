@@ -526,6 +526,11 @@ def physics_config(cross, **primary):
          {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
         (["validate", "--preset", "fig4", "--slots", "10", "--scheme", "random_access"],
          {"policy": {"p_sense": 0.5}}, "random_access requires 'policy.p_sense' = 0"),
+        # only feedback reads p_access_retx; it was once dropped without a word
+        (["analyze", "--preset", "fig4", "--scheme", "nofeedback"],
+         {"policy": {"p_access_retx": 0.7}}, "nofeedback requires 'policy.p_access_retx' = 0"),
+        (["simulate", "--preset", "fig4", "--slots", "10", "--scheme", "random_access"],
+         {"policy": {"p_access_retx": True}}, "random_access requires 'policy.p_access_retx' = 0"),
         (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [True, 0.1]}},
          "sweep grid values must be numbers"),
         (["sweep", "--preset", "fig4"], {"sweep": {"variable": "lam_p", "grid": [0.05, "0.1"]}},
@@ -564,7 +569,8 @@ def physics_config(cross, **primary):
          "n-slots-not-an-integer", "simulate-seed-not-an-integer", "validate-seed-a-bool",
          "lam-e-a-string", "p-sense-a-string", "p-false-alarm-a-string", "lam-p-a-list",
          "lam-p-a-bool", "random-access-sensing-analyze", "random-access-sensing-simulate",
-         "random-access-sensing-validate", "sweep-grid-a-bool", "sweep-grid-a-string",
+         "random-access-sensing-validate", "nofeedback-retx", "random-access-retx-a-bool",
+         "sweep-grid-a-bool", "sweep-grid-a-string",
          "cross-snr-nan", "physics-zero-times-inf", "out-an-int", "out-a-bool",
          "out-a-closed-fd", "ratio-profile-missing-a-field", "short-ratio-a-string",
          "solver-seed", "validate-semantics", "sim-key-misspelt", "physics-key-misspelt",

@@ -44,7 +44,7 @@ from ehcog.optimizer import (
     _start_points,
 )
 from ehcog.presets import PRESETS, get_preset
-from conftest import traced_peak
+from conftest import PRESET_PROFILE, PRESET_SENSING, traced_peak
 from oracles import pattern_search_one, scan_grid_points, solve_per_start
 
 
@@ -567,25 +567,75 @@ def test_broadcast_grid_scan_matches_point_matrix_oracle(prob):
             assert x.tobytes() == ref_x.tobytes()
 
 
-def test_grid_oracle_rescores_only_the_winning_chunk(
-    preset_profile, preset_sensing, monkeypatch
-):
-    prob = make_problem(preset_profile, preset_sensing, Scheme.FEEDBACK, 0.126, 2.0)
-    calls = []
-    scored = fb.operating_point
+#: a perfect primary link and perfect detection: a sensing secondary never
+#: interferes, so alpha = 1 and its fibers are flat in exact arithmetic,
+#: and rounding puts their best an ulp above both ends
+FLAT_FIBERS = random_problem(1.0, MPR, (0.1, 0.0), 0.3, 0.8, 1.0, Scheme.FEEDBACK)
+
+
+#: a strong full-slot link under concurrency makes retransmission slots worth
+#: attacking up to the stability edge: at every step the winner's
+#: p_access_retx is the last stable value of a bisected fiber, whose first
+#: value scores below the best end of another fiber
+RETX_AT_THE_EDGE = random_problem(0.7, (0.2, 0.6, 0.9, 0.9, 0.8), SENSING, 0.45, 1.0, math.inf,
+                                  Scheme.FEEDBACK)
+
+#: fig4's operating point under feedback
+FIG4_FEEDBACK = OptProblem(
+    Scheme.FEEDBACK, PRESET_PROFILE, PRESET_SENSING, TrafficParams(0.126, 1.0, 0.8, 2.0)
+)
+
+
+#: one success fraction of random_problem: no multipacket reception, full
+#: success under concurrency (at conc = 1, gamma is flat in p_access_retx),
+#: or anything between
+fraction = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+#: feedback problems that draw the edge cases of a p_access_retx fiber
+fiber_problems = st.builds(
+    random_problem,
+    p=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    fractions=st.tuples(*[fraction] * 5),
+    sensing=st.tuples(st.floats(0.0, 0.5), st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+    lam_p=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    lam_e=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    bound=st.sampled_from([1.0, 1.5, 2.0, 5.0, math.inf]),
+    scheme=st.just(Scheme.FEEDBACK),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(prob=fiber_problems)
+@example(prob=ETA_ONE)
+@example(prob=FLAT_FIBERS)
+@example(prob=RETX_AT_THE_EDGE)
+# the delay bound cuts about 60% of the fibers, and most of those rise
+@example(prob=FIG4_FEEDBACK)
+def test_fiber_scan_matches_point_matrix_oracle(prob):
+    for step in (0.1, 0.25, 0.3, 0.5):
+        x, best, n = _scan_grid(prob, step)
+        ref_x, ref_best, ref_n = scan_grid_points(prob, step)
+        assert same_bits(best, ref_best) and n == ref_n
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert x.tobytes() == ref_x.tobytes()
+
+
+def test_feedback_grid_scan_reads_a_fraction_of_its_points(monkeypatch):
+    points = []
+    closed_forms = nofb.closed_forms
 
     def counted(*args):
-        calls.append(args)
-        return scored(*args)
+        point = closed_forms(*args)
+        points.append(np.size(point.mu_s))
+        return point
 
-    monkeypatch.setattr(fb, "operating_point", counted)
-    res = grid_oracle(prob, 0.05)
-    n_chunks = sum(1 for _ in _grid_chunks(_grid_values(0.05), 5))
-    # the winner sits past the first chunk, so a scan that re-scores every
-    # chunk up to the winner would call the closed forms more often
-    assert res.policy.p_sense > 0.0
-    # one scoring pass, the winning chunk again, and _finish's analyze()
-    assert len(calls) == n_chunks + 1 + 1
+    monkeypatch.setattr(nofb, "closed_forms", counted)
+    res = grid_oracle(FIG4_FEEDBACK, 0.05)
+    # every grid point counts as evaluated, though most are never scored
+    assert res.meta.n_evals == 21**5
+    # the fiber ends, the bisections, the best fibers in full and analyze()
+    assert sum(points) < 21**5 / 4
 
 
 def test_audit_grid_memory_is_bounded(preset_profile, preset_sensing):
