@@ -32,20 +32,45 @@ with the same seed see identical inputs in both semantics (common random
 numbers) and results are reproducible bit for bit.
 
 Streaming: a run walks its slots in blocks of BLOCK_SLOTS.  Each block draws
-its slice of every stream (a Philox stream drawn in pieces continues
+its slice of every stream it reads (a Philox stream drawn in pieces continues
 exactly, so the draws do not depend on the block size) and turns the draws
 into per-slot flags, including the secondary's outcome in each state it can
-find (primary on, primary off, retransmission slot).  The slot loop carries
-only the queue lengths, the battery and the NACK flag from slot to slot and
-block to block, and writes one record byte per slot.  The block's
-statistics are then computed from its record with numpy and folded into
-running sums: queue lengths from cumulative sums started at the block's
-first queue lengths, delays by matching the k-th departure with the k-th
-arrival (the queue is FIFO; the arrival slots of packets still queued cross
-to the next block), and batch and decile sums with np.add.reduceat.  Each
-sum is a float sum of integers below 2**53, which is exact in any order, so
-the figures carry the same bits as sums made slot by slot.  A run's memory
-is one block's, plus 8 bytes per packet in the primary queue.
+find (primary on, primary off, retransmission slot).  random() lies in
+[0, 1), so a threshold of 0 or 1 decides every slot: a stream whose compared
+thresholds are all 0 or 1 is not drawn, and the streams are independent
+generators, so the others do not move.
+
+A queue x' = max(x - s, 0) + a with known 0/1 arrivals a and services s is
+a Lindley recursion, x_t = C_t + max(x0, max_{k<t} (a_k - C_{k+1})) with C
+the prefix sums of a - s, so a cumulative sum and a running maximum give it
+exactly (_lindley).  Under BACKLOGGED the battery drains in every energized
+slot, so it is one scan on its own.  That fixes the primary's service in
+every slot, so the primary queue is one scan too; under feedback a walk over
+the primary length and the NACK flag alone first finds the retransmission
+slots.  The data queue is the last scan.  Under EXACT the three queues
+depend on each other through three flags per slot: battery nonempty,
+primary busy and data queue nonempty.  Given the flags, each queue is one
+scan, and a round of three scans gives new flags; rounds repeat, at most
+FIXPOINT_ROUNDS times, until a round gives back the flags it was given.  A
+round's flags at slot t depend only on the flags it was given before t, so
+every slot before the first one where a round's flags differ from those it
+was given is proven, and so is that slot's state.  If the rounds run out,
+the slot loop (_slot_loop) finishes the block from that slot, and the run's
+later blocks go straight to the loop, which caps the cost of configurations
+that need many rounds.  The feedback scheme under EXACT always runs the
+loop.  The loop carries only the queue lengths, the battery and the NACK
+flag from slot to slot, and the scans and the loop both give one record
+byte per slot.
+
+The block's statistics are then computed from its record with numpy and
+folded into running sums: queue lengths from the scans (after the loop,
+from a scan of its joins and departures), delays by matching the k-th
+departure with the k-th arrival (the queue is FIFO; the arrival slots of
+packets still queued cross to the next block), and batch and decile sums
+with np.add.reduceat.  Each sum is a float sum of integers below 2**53,
+which is exact in any order, so the figures carry the same bits as sums
+made slot by slot.  A run's memory is one block's, plus 8 bytes per packet
+in the primary queue.
 """
 from __future__ import annotations
 
@@ -79,6 +104,7 @@ RNG_NAME = "philox(seed).spawn per category: " + ",".join(STREAMS)
 
 N_BATCHES = 30
 BLOCK_SLOTS = 1 << 14  # slots per streamed block
+FIXPOINT_ROUNDS = 8  # scan rounds of an EXACT block before the loop takes over
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -127,6 +153,14 @@ class SimStats:
         return last > 10.0 * max(first, 0.1) and last > 1.0
 
 
+def _generators(seed: int) -> dict:
+    """One Philox generator per decision category, spawned from seed."""
+    return {
+        name: np.random.Generator(np.random.Philox(s))
+        for name, s in zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS)))
+    }
+
+
 def _batch_mean_ci(values, weights) -> tuple[float, float]:
     """(point estimate, 95% half-width) from per-batch sums and weights."""
     values = np.asarray(values, dtype=float)
@@ -143,17 +177,6 @@ def _batch_mean_ci(values, weights) -> tuple[float, float]:
     return est, half
 
 
-def _length_at_start(joins, leaves, first):
-    """Queue length at the start of each slot of a block from its per-slot
-    0/1 joins and departures, given the length at the block's first slot; a
-    join counts from the next slot on."""
-    q = np.empty(joins.size, np.int64)
-    q[0] = first
-    np.cumsum(np.subtract(joins[:-1], leaves[:-1], dtype=np.int8), dtype=np.int64, out=q[1:])
-    q[1:] += first
-    return q
-
-
 def _segment_sums(x, bounds):
     """Sums of x over the slots [bounds[i], bounds[i + 1]), 0 where empty.
     Float sums of integers below 2**53 are exact in any order."""
@@ -163,47 +186,149 @@ def _segment_sums(x, bounds):
     return sums
 
 
+def _lindley(x0, a, s, out=None):
+    """Queue length at the start of slots 0..n of x' = max(x - s, 0) + a, from
+    the length x0 at slot 0 and per-slot 0/1 arrivals a and services s
+    (Lindley 1952): x_t = C_t + max(x0, max_{k<t} (a_k - C_{k+1})), with C
+    the prefix sums of a - s.  Exact: C and a_k - C_{k+1} lie within
+    [-n, n] and are kept in int32, the lengths in int64."""
+    n = a.size
+    x = np.empty(n + 1, np.int64) if out is None else out
+    c = np.cumsum(np.subtract(a, s, dtype=np.int8), dtype=np.int32)
+    x[0] = x0
+    x[1:] = c
+    if x0 < n:  # else x0 beats every a_k - C_{k+1}, which is at most k + 1
+        np.subtract(a, c, out=c)
+        x[1:] += np.maximum(np.maximum.accumulate(c, out=c), x0, out=c)
+    else:
+        x[1:] += x0
+    return x
+
+
 def _block_inputs(gens, n, use_feedback, policy, profile, sensing, traffic):
     """The per-slot flags of the next n slots, from the next n draws of
-    every stream: the three arrivals, the sensing decision and its busy
-    verdicts (primary on, off), the secondary's outcome (0 silent, 1 sent
-    and lost, 2 delivered) with the primary on, off and in a retransmission
-    slot, and the primary's success alone and beside a transmission."""
+    every stream that decides some slot: the three arrivals, the sensing
+    decision and its busy verdicts (primary on, off), the secondary's
+    outcome (0 silent, 1 sent and lost, 2 delivered) with the primary on,
+    off and in a retransmission slot, and the primary's success alone and
+    beside a transmission.  A threshold that no slot compares is passed as
+    0."""
 
     def below(name, *thresholds):
-        u = gens[name].random(n)
-        return [u < x for x in thresholds]
+        # random() lies in [0, 1), so a threshold of 0 or 1 decides every
+        # slot, and a stream with no other threshold is not drawn at all
+        if any(0.0 < x < 1.0 for x in thresholds):
+            u = gens[name].random(n)
+            return [u < x for x in thresholds]
+        return [np.full(n, x >= 1.0) for x in thresholds]
 
     def outcome(tx, success):
         return np.add(tx, tx & success, dtype=np.uint8)
 
     pr = policy.p_access_retx if use_feedback else 0.0
+    sensed = policy.p_sense > 0.0  # some slot senses
+    direct = policy.p_sense < 1.0  # some slot accesses without sensing
     (arr_p,) = below("arrival_p", traffic.lam_p)
     (arr_s,) = below("arrival_s", traffic.lam_s)
     (arr_e,) = below("arrival_e", traffic.lam_e)
     (sense,) = below("sense", policy.p_sense)
     busy_on, busy_off = below(
-        "sense_outcome", 1.0 - sensing.p_missed_detection, sensing.p_false_alarm
+        "sense_outcome",
+        sensed * (1.0 - sensing.p_missed_detection),
+        sensed * sensing.p_false_alarm,
     )
-    free, busy, direct, retx = below(
-        "access", policy.p_access_free, policy.p_access_busy, policy.p_access_direct, pr
+    free, busy, direct_tx, retx = below(
+        "access",
+        sensed * policy.p_access_free,
+        sensed * policy.p_access_busy,
+        direct * policy.p_access_direct,
+        pr,
     )
     full, short, full_c, short_c = below(
         "success_s",
-        profile.p_sec_full,
-        profile.p_sec_short,
-        profile.p_sec_full_conc,
-        profile.p_sec_short_conc,
+        direct * profile.p_sec_full,
+        sensed * profile.p_sec_short,
+        (direct or pr > 0.0) * profile.p_sec_full_conc,
+        sensed * profile.p_sec_short_conc,
     )
     win, win_c = below("success_p", profile.p_primary, profile.p_primary_conc)
     out_on = outcome(
-        np.where(sense, np.where(busy_on, busy, free), direct), np.where(sense, short_c, full_c)
+        np.where(sense, np.where(busy_on, busy, free), direct_tx), np.where(sense, short_c, full_c)
     )
     out_off = outcome(
-        np.where(sense, np.where(busy_off, busy, free), direct), np.where(sense, short, full)
+        np.where(sense, np.where(busy_off, busy, free), direct_tx), np.where(sense, short, full)
     )
     out_rx = outcome(retx, full_c) if use_feedback else out_on
     return arr_p, arr_s, arr_e, sense, busy_on, busy_off, out_on, out_off, out_rx, win, win_c
+
+
+def _nack_walk(q, nack, arr_p, svc_on, svc_rx):
+    """The primary queue under feedback, walked over its length and NACK
+    flag alone: svc_on and svc_rx are the primary's success in a fresh and
+    in a retransmission slot.  Returns the per-slot retransmission flags
+    and the NACK flag after the block."""
+    retx = bytearray()
+    put = retx.append
+    for ap, on, rx in zip(arr_p.tobytes(), svc_on.tobytes(), svc_rx.tobytes()):
+        put(nack)
+        if q:
+            d = rx if nack else on
+            nack = not d
+            q += ap - d
+        else:
+            q = ap
+    return np.frombuffer(retx, bool), nack
+
+
+def _scan_block(
+    state, backlogged, use_feedback, arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c
+):
+    """Solve a block from state (q, qs, qe, nack) by Lindley scans.  Returns
+    (m, state at slot m, record, qp, qs): the first m slots are proven (all
+    n unless an EXACT block ran out of rounds), and record, qp and qs hold
+    the record byte (as _slot_loop's) and the primary and data queue lengths
+    at the start of each of them."""
+    q0, qs0, qe0, nack = state
+    n = arr_p.size
+    qe, q, qs = (np.empty(n + 1, np.int64) for _ in range(3))
+    tx_on = out_on > 0
+    if backlogged:  # the battery drains in every energized slot, on its own
+        m = n
+        energized = _lindley(qe0, arr_e, 1, qe)[:-1] > 0
+        svc = np.where(energized & tx_on, win_c, win)
+        if use_feedback:
+            svc_rx = np.where(energized & (out_rx > 0), win_c, win)
+            retx, nack = _nack_walk(q0, nack, arr_p, svc, svc_rx)
+            svc = np.where(retx, svc_rx, svc)
+            out_on = np.where(retx, out_rx, out_on)
+        busy = _lindley(q0, arr_p, svc, q)[:-1] > 0
+        sent = np.where(energized, np.where(busy, out_on, out_off), 0)
+        served = (sent == 2) & (_lindley(qs0, arr_s, sent == 2, qs)[:-1] > 0)
+    else:
+        # EXACT, sensing-only: iterate the battery, primary-busy and data
+        # flags to their fixed point, from a first guess with the primary
+        # alone and a data queue that never runs out of energy
+        busy = _lindley(q0, arr_p, win, q)[:-1] > 0
+        data = _lindley(qs0, arr_s, np.where(busy, out_on, out_off) == 2, qs)[:-1] > 0
+        for _ in range(FIXPOINT_ROUNDS):
+            spent = data & (np.where(busy, out_on, out_off) > 0)
+            energized = _lindley(qe0, arr_e, spent, qe)[:-1] > 0
+            svc = np.where(energized & data & tx_on, win_c, win)
+            new_busy = _lindley(q0, arr_p, svc, q)[:-1] > 0
+            sent = np.where(energized, np.where(new_busy, out_on, out_off), 0)
+            new_data = _lindley(qs0, arr_s, sent == 2, qs)[:-1] > 0
+            differ = (new_busy != busy) | (new_data != data)
+            busy, data = new_busy, new_data
+            m = int(differ.argmax())
+            if not differ[m]:
+                m = n
+                break
+        sent[~data] = 0
+        served = sent == 2
+    record = sent << 1 | energized
+    record |= np.left_shift(busy & svc, 3, dtype=np.uint8)
+    record |= np.left_shift(served, 4, dtype=np.uint8)
+    return m, (int(q[m]), int(qs[m]), int(qe[m]), nack), record, q[:-1], qs[:-1]
 
 
 def _slot_loop(state, backlogged, arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c):
@@ -248,12 +373,11 @@ def run(
         raise ValueError("random access requires p_sense = 0")
     if not isinstance(policy, scheme.policy_class):
         raise ValueError(f"{scheme.value} scheme needs a {scheme.policy_class.__name__}")
+    if not use_feedback and getattr(policy, "p_access_retx", 0.0) != 0.0:
+        raise ValueError(f"{scheme.value} scheme never retransmits: p_access_retx must be 0")
     backlogged = semantics is SimSemantics.BACKLOGGED
 
-    gens = {
-        name: np.random.Generator(np.random.Philox(s))
-        for name, s in zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS)))
-    }
+    gens = _generators(seed)
     n_batches = min(N_BATCHES, n_slots)
     bounds = -(-np.arange(n_batches + 1) * n_slots // n_batches)  # ceil(b n / B)
     deciles = -(-np.arange(11) * n_slots // 10)
@@ -261,26 +385,37 @@ def run(
     state = (0, 0, 0, False)  # (q, qs, qe, nack) at the start of the next block
     queued = np.zeros(0, np.int64)  # arrival slots of the queued primary packets
 
+    looping = use_feedback and not backlogged  # the feedback EXACT walk stays a loop
     for start in range(0, n_slots, BLOCK_SLOTS):
         n = min(BLOCK_SLOTS, n_slots - start)
         arr_p, arr_s, arr_e, sense, busy_on, busy_off, *loop_inputs = _block_inputs(
             gens, n, use_feedback, policy, profile, sensing, traffic
         )
         q0, qs0, _, nack0 = state
-        state, r = _slot_loop(state, backlogged, arr_p, arr_s, arr_e, *loop_inputs)
+        m, r = 0, None
+        if not looping:
+            m, state, r, qp, qs_len = _scan_block(
+                state, backlogged, use_feedback, arr_p, arr_s, arr_e, *loop_inputs
+            )
+        if m < n:  # the loop finishes the block, and the run, from its first unproven slot
+            looping = True
+            state, tail = _slot_loop(
+                state, backlogged, *(x[m:] for x in (arr_p, arr_s, arr_e, *loop_inputs))
+            )
+            r = tail if r is None else np.concatenate((r[:m], tail))
+            qp = _lindley(q0, arr_p, (r >> 3) & 1)[:-1]
+            qs_len = _lindley(qs0, arr_s, r >> 4)[:-1]
         del arr_e, loop_inputs
         energized = (r & 1).astype(bool)
         sent = (r >> 1) & 3
         dep = (r >> 3) & 1
 
-        qp = _length_at_start(arr_p, dep, q0)
         dec_sum += _segment_sums(qp, np.clip(deciles - start, 0, n))
         primary_on = qp > 0
         retx_slot = np.zeros(n, bool)
         if use_feedback:
             retx_slot[0] = nack0
             retx_slot[1:] = primary_on[:-1] & (dep[:-1] == 0)
-        qs_len = _length_at_start(arr_s, r >> 4, qs0)
         sensed = energized & (backlogged | (qs_len > 0)) & sense & ~retx_slot
         # FIFO: the k-th departure carries the k-th queued arrival
         queued = np.concatenate((queued, start + np.flatnonzero(arr_p)))
@@ -310,6 +445,9 @@ def run(
             ("slots_sensed_primary_off", sensed & ~primary_on),
         ):
             sense_counts[name] = sense_counts.get(name, 0) + int(np.count_nonzero(mask))
+        # drop the block's arrays before the next one draws: a run holds one block
+        del arr_p, arr_s, sense, busy_on, busy_off, r, qp, qs_len, energized, sent, dep
+        del primary_on, retx_slot, sensed, wait, x, mask
 
     slots_b = np.diff(bounds).astype(float)
     rates, ci = {}, {}

@@ -353,7 +353,17 @@ NO_ENERGY = hand_config(Scheme.NOFEEDBACK, TrafficParams(0.2, 0.5, 0.0))
 NO_DATA = hand_config(Scheme.FEEDBACK, TrafficParams(0.2, 0.0, 0.8))
 NO_PRIMARY = hand_config(Scheme.RANDOM_ACCESS, TrafficParams(0.0, 0.5, 0.8))
 UNSTABLE = hand_config(Scheme.FEEDBACK, TrafficParams(0.8, 1.0, 0.8))
+# scarce data and energy: EXACT blocks need many scan rounds
+SCARCE = hand_config(Scheme.NOFEEDBACK, TrafficParams(0.22, 0.16, 0.34))
+# every threshold of some streams is exactly 0 or 1, so they are never drawn
+PERFECT = SensingQuality(p_false_alarm=0.0, p_missed_detection=0.0)
+DIRECT_POLICY = PolicyNoFb(0.0, 0.0, 0.0, 1.0)
+DIRECT = (Scheme.NOFEEDBACK, DIRECT_POLICY, PRESET_PROFILE, PRESET_SENSING, HAND_TRAFFIC)
+SENSE_ALL = (Scheme.NOFEEDBACK, PolicyNoFb(1.0, 1.0, 0.0, 0.3), PRESET_PROFILE, PERFECT, HAND_TRAFFIC)
+RETX_ALL = (Scheme.FEEDBACK, PolicyFb(0.0, 0.0, 0.0, 1.0, 1.0), PRESET_PROFILE, PERFECT, HAND_TRAFFIC)
+RA_DIRECT = (Scheme.RANDOM_ACCESS, DIRECT_POLICY, PRESET_PROFILE, PERFECT, TrafficParams(0.3, 1.0, 0.5))
 EXACT, BACKLOGGED = SimSemantics.EXACT, SimSemantics.BACKLOGGED
+ROUNDS = simulator.FIXPOINT_ROUNDS
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,20 +373,35 @@ EXACT, BACKLOGGED = SimSemantics.EXACT, SimSemantics.BACKLOGGED
     n_slots=st.integers(1, 3000),
     seed=st.integers(0, 2**32 - 1),
     block=st.sampled_from([1, 2, 7, 64, simulator.BLOCK_SLOTS]),
+    rounds=st.sampled_from([1, ROUNDS]),
 )
 # n_slots 29 and 31 straddle the 30 batches; below 10 some deciles are empty;
 # blocks of 2, 7 and 64 slots end inside batches and deciles
-@example(config=FB, semantics=EXACT, n_slots=1, seed=0, block=1)
-@example(config=FB, semantics=BACKLOGGED, n_slots=29, seed=1, block=7)
-@example(config=NOFB, semantics=EXACT, n_slots=31, seed=2, block=2)
-@example(config=NO_ENERGY, semantics=EXACT, n_slots=2000, seed=3, block=64)
-@example(config=NO_DATA, semantics=EXACT, n_slots=2000, seed=4, block=7)
-@example(config=NO_PRIMARY, semantics=BACKLOGGED, n_slots=2000, seed=5, block=64)
-@example(config=UNSTABLE, semantics=BACKLOGGED, n_slots=3000, seed=6, block=7)
-@example(config=FB, semantics=EXACT, n_slots=3000, seed=7, block=simulator.BLOCK_SLOTS)
-def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed, block):
+@example(config=FB, semantics=EXACT, n_slots=1, seed=0, block=1, rounds=ROUNDS)
+@example(config=FB, semantics=BACKLOGGED, n_slots=29, seed=1, block=7, rounds=ROUNDS)
+@example(config=NOFB, semantics=EXACT, n_slots=31, seed=2, block=2, rounds=ROUNDS)
+@example(config=NO_ENERGY, semantics=EXACT, n_slots=2000, seed=3, block=64, rounds=ROUNDS)
+@example(config=NO_DATA, semantics=EXACT, n_slots=2000, seed=4, block=7, rounds=ROUNDS)
+@example(config=NO_PRIMARY, semantics=BACKLOGGED, n_slots=2000, seed=5, block=64, rounds=ROUNDS)
+@example(config=UNSTABLE, semantics=BACKLOGGED, n_slots=3000, seed=6, block=7, rounds=ROUNDS)
+@example(config=FB, semantics=EXACT, n_slots=3000, seed=7, block=simulator.BLOCK_SLOTS, rounds=ROUNDS)
+# one scan round cannot settle a scarce EXACT block: the loop finishes that
+# block from its first unproven slot, and the run's later blocks
+@example(config=SCARCE, semantics=EXACT, n_slots=3000, seed=8, block=7, rounds=1)
+@example(config=SCARCE, semantics=EXACT, n_slots=3000, seed=9, block=64, rounds=1)
+@example(config=SCARCE, semantics=EXACT, n_slots=3000, seed=10, block=64, rounds=ROUNDS)
+# thresholds of exactly 0 or 1 leave their streams undrawn
+@example(config=DIRECT, semantics=EXACT, n_slots=3000, seed=11, block=64, rounds=ROUNDS)
+@example(config=DIRECT, semantics=BACKLOGGED, n_slots=3000, seed=12, block=7, rounds=ROUNDS)
+@example(config=SENSE_ALL, semantics=EXACT, n_slots=3000, seed=13, block=64, rounds=ROUNDS)
+@example(config=SENSE_ALL, semantics=BACKLOGGED, n_slots=3000, seed=14, block=64, rounds=ROUNDS)
+@example(config=RETX_ALL, semantics=EXACT, n_slots=3000, seed=15, block=64, rounds=ROUNDS)
+@example(config=RETX_ALL, semantics=BACKLOGGED, n_slots=3000, seed=16, block=7, rounds=ROUNDS)
+@example(config=RA_DIRECT, semantics=EXACT, n_slots=3000, seed=17, block=64, rounds=ROUNDS)
+def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed, block, rounds):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "BLOCK_SLOTS", block)
+        mp.setattr(simulator, "FIXPOINT_ROUNDS", rounds)
         got = run(*config, semantics, n_slots, seed)
     want = run_slots(*config, semantics, n_slots, seed)
     assert repr(got) == repr(want)
@@ -386,6 +411,69 @@ def test_run_matches_slot_loop_oracle(config, semantics, n_slots, seed, block):
     assert len(got.qp_decile_means) == len(want.qp_decile_means) == 10
     assert all(map(same_float, got.qp_decile_means, want.qp_decile_means))
     assert got.sense_counts == want.sense_counts
+
+
+def test_running_out_of_rounds_hands_the_rest_of_the_run_to_the_loop(monkeypatch):
+    calls = []
+    for name in ("_scan_block", "_slot_loop"):
+        step = getattr(simulator, name)
+        spy = lambda *a, _f=step, _n=name: calls.append(_n) or _f(*a)
+        monkeypatch.setattr(simulator, name, spy)
+    monkeypatch.setattr(simulator, "BLOCK_SLOTS", 64)
+    monkeypatch.setattr(simulator, "FIXPOINT_ROUNDS", 1)
+    run(*SCARCE, EXACT, 3000, 9)
+    first = calls.index("_slot_loop")
+    # the loop finishes the block whose scans ran out, then loops every later block
+    assert calls[first - 1] == "_scan_block"
+    assert calls[first:] == ["_slot_loop"] * (len(calls) - first) and len(calls) - first > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x0=st.one_of(st.integers(0, 4), st.integers(0, 2**40)),
+    steps=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=100),
+)
+@example(x0=2**40, steps=[(True, False)])
+@example(x0=1, steps=[(False, True)])
+@example(x0=0, steps=[(True, True), (False, True), (True, False)])
+def test_lindley_scan_matches_the_scalar_recursion(x0, steps):
+    want = [x0]
+    for a, s in steps:
+        want.append(max(want[-1] - s, 0) + a)
+    arrivals, services = np.array(steps, bool).T
+    got = simulator._lindley(x0, arrivals, services)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "config", [DIRECT, SENSE_ALL, RETX_ALL], ids=["direct", "sense_all", "retx_all"]
+)
+@pytest.mark.parametrize("semantics", list(SimSemantics))
+def test_streams_with_decided_thresholds_are_never_drawn(monkeypatch, config, semantics):
+    # lam_s is 1, and the sensing and access thresholds that a slot
+    # compares are all 0 or 1
+    made = []
+    generators = simulator._generators
+    monkeypatch.setattr(simulator, "_generators", lambda s: made.append(generators(s)) or made[-1])
+    run(*config, semantics, 5000, 3)
+    fresh = generators(3)
+    drawn = {
+        name for name, gen in made[0].items()
+        if repr(gen.bit_generator.state) != repr(fresh[name].bit_generator.state)
+    }
+    assert drawn == {"arrival_p", "arrival_e", "success_s", "success_p"}
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NOFEEDBACK, Scheme.RANDOM_ACCESS])
+def test_sensing_only_schemes_refuse_a_retransmission_probability(scheme):
+    # PolicyFb subclasses PolicyNoFb, so only its p_access_retx tells them apart
+    sense = 0.0 if scheme is Scheme.RANDOM_ACCESS else 0.5
+    args = PRESET_PROFILE, PRESET_SENSING, HAND_TRAFFIC
+    with pytest.raises(ValueError, match="p_access_retx"):
+        run(scheme, PolicyFb(sense, 0.5, 0.2, 0.6, 0.9), *args, n_slots=10)
+    assert repr(run(scheme, PolicyFb(sense, 0.5, 0.2, 0.6, 0.0), *args, n_slots=1000)) == repr(
+        run(scheme, PolicyNoFb(sense, 0.5, 0.2, 0.6), *args, n_slots=1000)
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
