@@ -27,8 +27,6 @@ import os
 import sys
 from dataclasses import replace
 
-import yaml
-
 from . import optimizer, simulator
 from .outage import CrossSnr, build_profile
 from .params import (
@@ -104,6 +102,9 @@ def _load_config(args) -> dict:
         except KeyError as e:
             raise ConfigError(str(e)) from None
     if args.config:
+        # a preset-only run never reads YAML, so it need not load pyyaml
+        import yaml
+
         path = args.config
         if not os.path.exists(path) and not os.path.isabs(path):
             env_dir = os.environ.get(CONFIG_DIR_ENV)

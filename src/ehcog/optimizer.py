@@ -122,6 +122,15 @@ GRID_CHUNK = 1 << 14
 SOBOL_POLY = (1, 3, 7, 11, 13)
 SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1))
 SOBOL_BITS = 30
+#: numpy's SeedSequence hash constants: the two hashmix streams (initial
+#: value, multiplier), the mix multipliers and the xorshift, all mod 2**32
+SEED_HASH_A = (0x43B0D7E5, 0x931E8875)
+SEED_HASH_B = (0x8B51F9DD, 0x58F38DED)
+SEED_MIX = (0xCA01F9DD, 0x4973F715)
+SEED_XSHIFT = 16
+#: the 128-bit multiplier of PCG64's LCG (O'Neill 2014)
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,9 @@ class SolverConfig:
     n_starts    number of scrambled-Sobol initial points (>= 32)
     seed        seed for the Sobol scrambling (>= 0); the points are those
                 of scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), drawn
-                without scipy (see _sobol_points)
+                without scipy or numpy.random: a plain-Python port of
+                numpy's SeedSequence and PCG64 draws the scrambling bits
+                (see _sobol_points)
 
     The search itself is fixed by the module constants MAX_SWEEPS,
     INIT_STEP, SHRINK, MIN_STEP, AUDIT_STEP and TIE_TOL.  The stability
@@ -576,24 +587,103 @@ def _sobol_directions(d: int) -> np.ndarray:
     return v << np.arange(SOBOL_BITS - 1, -1, -1)
 
 
+def _seed_hash(value: int, hash_const: int, mult: int) -> tuple[int, int]:
+    """One hash step of numpy's SeedSequence, mod 2**32: the hashed value
+    and the next hash constant."""
+    next_const = hash_const * mult & MASK32
+    value = (value ^ hash_const) * next_const & MASK32
+    return value ^ value >> SEED_XSHIFT, next_const
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy.random.SeedSequence(seed).generate_state(4, np.uint64).tolist().
+
+    The seed's 32-bit words, least significant first (0 is one zero word),
+    are hashed into a pool of 4 words and cross-mixed; words past the
+    fourth are mixed into every pool word.  The pool is then hashed out,
+    cycling, into 8 words, read pairwise as little-endian 64-bit words.
+    """
+    entropy = [seed >> k & MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = SEED_HASH_A[0]
+
+    def hashmix(value):
+        nonlocal hash_const
+        value, hash_const = _seed_hash(value, hash_const, SEED_HASH_A[1])
+        return value
+
+    def mix(x, y):
+        out = (SEED_MIX[0] * x - SEED_MIX[1] * y) & MASK32
+        return out ^ out >> SEED_XSHIFT
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = SEED_HASH_B[0], []
+    for i in range(8):
+        value, hash_const = _seed_hash(pool[i % 4], hash_const, SEED_HASH_B[1])
+        state.append(value)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64_words(seed: int, n: int) -> list[int]:
+    """The first n 64-bit outputs of numpy.random.PCG64(seed).
+
+    The seed words (s0, s1, i0, i1) give the 128-bit start s0:s1 and the
+    odd increment 2 (i0:i1) + 1.  Seeding steps the LCG from 0, adds the
+    start and steps again; each output steps first, then folds the state's
+    halves together (XOR) and rotates right by its top 6 bits (XSL-RR).
+    """
+    w = _seed_words(seed)
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & MASK128
+    state = ((inc + (w[0] << 64 | w[1])) * PCG64_MULT + inc) & MASK128
+    words = []
+    for _ in range(n):
+        state = (state * PCG64_MULT + inc) & MASK128
+        x = (state >> 64 ^ state) & MASK64
+        rot = state >> 122
+        words.append((x >> rot | x << (-rot & 63)) & MASK64)
+    return words
+
+
+def _coin_flips(seed: int, n: int) -> np.ndarray:
+    """The n uint32 values that successive numpy.random.default_rng(seed)
+    .integers(2, size=..., dtype=np.uint32) calls draw, n in total.
+
+    Lemire's method for the range {0, 1} never rejects, so a flip is the top
+    bit of one 32-bit draw.  PCG64 serves 32-bit draws as the low, then the
+    high half of each 64-bit output, keeping a spare half across calls: the
+    flips are bits 31 and 63 of each output in turn, one stream over the
+    calls.
+    """
+    words = np.array(_pcg64_words(seed, (n + 1) // 2), dtype=np.uint64)
+    bits = words[:, None] >> np.array([31, 63], dtype=np.uint64) & np.uint64(1)
+    return bits.astype(np.uint32).ravel()[:n]
+
+
 def _sobol_points(d: int, cfg: SolverConfig) -> np.ndarray:
     """The config's n_starts scrambled Sobol points in [0, 1)^d.
 
     These are the bits of scipy.stats.qmc.Sobol(d, scramble=True,
-    seed=cfg.seed).random(n_starts).  np.random.default_rng(cfg.seed) draws
-    each dimension's digital shift (bits least significant first), then its
-    lower-triangular scrambling matrix, whose diagonal is set to one (linear
-    matrix scrambling, LMS).  Bit p of a scrambled direction number, most
-    significant first, is row p of the matrix times the number's bits, mod
-    2: one batched product for all numbers.  The points then walk in Gray-
-    code order from the shift, point k flipping the direction of the lowest
-    set bit of k.
+    seed=cfg.seed).random(n_starts), whose generator is
+    np.random.default_rng(cfg.seed).  _coin_flips draws its bits without
+    loading numpy.random: each dimension's digital shift (bits least
+    significant first), then its lower-triangular scrambling matrix, whose
+    diagonal is set to one (linear matrix scrambling, LMS).  Bit p of a
+    scrambled direction number, most significant first, is row p of the
+    matrix times the number's bits, mod 2: one batched product for all
+    numbers.  The points then walk in Gray-code order from the shift, point
+    k flipping the direction of the lowest set bit of k.
     """
     bit = 1 << np.arange(SOBOL_BITS, dtype=np.int64)
     msb_first = bit[::-1]
-    rng = np.random.default_rng(cfg.seed)
-    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ bit
-    lms = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    flips = _coin_flips(cfg.seed, d * SOBOL_BITS * (1 + SOBOL_BITS))
+    shift = flips[: d * SOBOL_BITS].reshape(d, SOBOL_BITS) @ bit
+    lms = np.tril(flips[d * SOBOL_BITS :].reshape(d, SOBOL_BITS, SOBOL_BITS))
     lms[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
     v_bits = (_sobol_directions(d)[:, :, None] & msb_first) != 0  # (dim, j, bit)
     scrambled = ((v_bits @ lms.transpose(0, 2, 1)) & 1) @ msb_first  # (dim, j)

@@ -126,6 +126,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
     noroot.write_text("- 1\n- 2\n")
     code, _, err = run_cli(capsys, ["analyze", "--config", str(noroot)])
     assert code == 1 and "mapping" in err
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("traffic: {lam_p: 0.1\n")
+    code, _, err = run_cli(capsys, ["analyze", "--preset", "fig4", "--config", str(malformed)])
+    assert code == 1 and "config parse error" in err
 
 
 def test_bad_profile_fields_exit_1(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """ehcog runs on numpy and pyyaml: no module of the package may import
-scipy, which the tests use as a reference only.  And every function the
-benchmark's tracer wraps must exist under its name, and see every call."""
+scipy, which the tests use as a reference only, and a preset-only solve
+loads neither numpy.random nor yaml.  And every function the benchmark's
+tracer wraps must exist under its name, and see every call."""
 import ast
 import collections
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +66,26 @@ def test_package_does_not_import_scipy():
     assert paths
     found = {path.name: scipy_imports(path.read_text()) for path in paths}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+#: runs a preset-only optimize in a fresh interpreter and prints which of
+#: the modules it should not need got loaded
+LAZY_PROBE = """
+import contextlib, io, sys
+import ehcog.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["optimize", "--preset", "fig4"])
+print(code, sorted(m for m in ("numpy.random", "yaml") if m in sys.modules))
+"""
+
+
+def test_preset_optimize_loads_neither_numpy_random_nor_yaml():
+    """The solver draws its Sobol scrambling without numpy.random, and only
+    --config reads YAML, so neither import may creep back into a solve."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["0", "[]"], proc.stderr
 
 
 def test_traced_names_resolve():

@@ -674,6 +674,29 @@ def test_sobol_points_match_scipy_bitwise(d, seed):
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+# numpy.random is the reference for the scrambling bits, at test time only
+@given(
+    # past 2**128 a seed has more words than the pool, mixed in last
+    seed=st.integers(0, 2**192 - 1),
+    n1=st.integers(1, 70),
+    n2=st.integers(1, 70),
+)
+@example(seed=0, n1=150, n2=4500)  # d = 5: the shifts, then the matrices
+@example(seed=2**64 + 3, n1=3, n2=4)  # odd first call: the spare half carries over
+@example(seed=2**32 - 1, n1=1, n2=1)
+@example(seed=2**160 + 7, n1=2, n2=2)
+@settings(max_examples=60, deadline=None)
+def test_coin_flips_match_numpy_random(seed, n1, n2):
+    want = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+    assert optimizer._seed_words(seed) == want
+    rng = np.random.default_rng(seed)
+    first = rng.integers(2, size=n1, dtype=np.uint32)
+    second = rng.integers(2, size=n2, dtype=np.uint32)
+    got = optimizer._coin_flips(seed, n1 + n2)
+    assert got.dtype == np.uint32
+    assert got.tolist() == first.tolist() + second.tolist()
+
+
 def test_sobol_constants_are_the_joe_kuo_direction_numbers():
     # the table scipy ships: one row per dimension, vinit zero-padded
     npz = importlib.resources.files("scipy.stats") / "_sobol_direction_numbers.npz"
