@@ -137,8 +137,7 @@ def state_probs(alpha: float, gamma: float, lam_p: float, k_max: int):
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    point = nofeedback._stable_point(lam_p, alpha, gamma)
-    return nofeedback._levels(lam_p, alpha, gamma, point.eta, point.pi0, k_max)
+    return nofeedback._levels(nofeedback._stable_point(lam_p, alpha, gamma), lam_p, k_max)
 
 
 def tail_k_max(alpha: float, gamma: float, lam_p: float, tol: float = TAIL_TOL) -> int:

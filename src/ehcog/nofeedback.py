@@ -196,6 +196,12 @@ def closed_forms(
     """The queue-level closed forms of the primary chain.  This is the only
     place they are written.
 
+    The mean primary delay, arrival slot to departure slot, is
+    D = 1 + (1 - alpha) eta / ((eta - lam_p) gamma).  At alpha = gamma = mu_p
+    it is the Geo/Geo/1 delay (1 - lam_p) / (mu_p - lam_p), and at lam_p = 0
+    it is 1 + (1 - alpha) / gamma: one fresh attempt and, if that fails, a
+    geometric wait for the retransmission to succeed.
+
     The inputs may be arrays of broadcastable shapes, lam_p, lam_e and
     delay_bound included.  Only elementwise IEEE operations, so each entry
     of a batch has the same bits as its point evaluated alone.  Scalar
@@ -205,7 +211,6 @@ def closed_forms(
     alpha = np.asarray(alpha, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        no_arrival = 1.0 - lam_p
         # eta = lam_p alpha + (1 - lam_p) gamma, and the gap eta - lam_p,
         # written around gamma: at alpha = gamma both are exact
         shift = lam_p * (alpha - gamma)
@@ -216,20 +221,7 @@ def closed_forms(
         # The fresh-head busy mass telescopes to lam_p exactly (each departure
         # of a fresh head is preceded by exactly one arrival in the long run).
         mu_s = lam_e * (pi0 * idle + lam_p * busy + sum_eps * retx)
-        # squares by multiplying, never **: numpy squares an array by
-        # multiplying but a scalar through pow(), which rounds differently
-        # for ~0.1% of inputs, and the scalar and batched delays must carry
-        # the same bits
-        delay = (
-            (alpha - eta) * (gap * gap) + (no_arrival * no_arrival) * (1.0 - alpha) * eta
-        ) / (gap * no_arrival * (1.0 - eta) * gamma)
-        # eta ~ 1 makes that 0/0; the rare stable points there are summed
-        degen = (eta >= 1.0 - 1e-9) & (lam_p < eta)
-        if np.any(degen):
-            delay = np.asarray(delay)
-            delay[degen] = _degenerate_delay(
-                *(np.broadcast_to(v, delay.shape)[degen] for v in (lam_p, alpha, gamma, eta, pi0))
-            )
+        delay = 1.0 + (1.0 - alpha) * eta / (gap * gamma)
         stable = lam_p <= eta - STABILITY_MARGIN
         feasible = stable & (delay <= delay_bound + DELAY_SLACK)
     return OperatingPoint(
@@ -252,50 +244,35 @@ def operating_point(
     return closed_forms(lam_p, mu_p, mu_p, idle, busy, busy, lam_e, bound)
 
 
-def _levels(lam_p, alpha, gamma, eta, pi0, k_max: int):
-    """Per-level masses (pi, eps) of stable chains for queue lengths
-    0..k_max, from their aggregates eta and pi0.  lam_p, alpha, gamma, eta
-    and pi0 may be 1-d arrays over points, which become the leading axis of
-    pi and eps."""
-    pi = np.zeros(np.shape(pi0) + (k_max + 1,))
+def _ratios(point: OperatingPoint, lam_p: float):
+    """(r, rho) of the stable scalar chain point at arrival rate lam_p, with
+    r = lam_p / ((1 - lam_p) eta) and rho = r (1 - eta) < 1: level k >= 2
+    holds pi0 (1 - alpha) r^2 rho^(k-2) in all.  1 - eta is computed as
+    (1 - gamma) - lam_p (alpha - gamma), not from eta, whose rounding would
+    swamp it near eta = 1; it is exact at alpha = gamma."""
+    alpha, gamma = float(point.alpha), float(point.gamma)
+    r = lam_p / ((1.0 - lam_p) * float(point.eta))
+    return r, r * ((1.0 - gamma) - lam_p * (alpha - gamma))
+
+
+def _levels(point: OperatingPoint, lam_p: float, k_max: int):
+    """Per-level masses (pi, eps) for queue lengths 0..k_max of the stable
+    scalar chain point at arrival rate lam_p."""
+    alpha, gamma, eta, pi0 = (float(v) for v in (point.alpha, point.gamma, point.eta, point.pi0))
+    pi = np.zeros(k_max + 1)
     eps = np.zeros_like(pi)
-    pi[..., 0] = pi0
-    lam_p, alpha, gamma, eta, pi0 = (
-        np.asarray(v)[..., None] for v in (lam_p, alpha, gamma, eta, pi0)
-    )
+    pi[0] = pi0
     if k_max >= 1:
-        pi[..., 1:2] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
-        eps[..., 1:2] = pi0 * (lam_p / eta) * (1.0 - alpha)
+        pi[1] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
+        eps[1] = pi0 * (lam_p / eta) * (1.0 - alpha)
     if k_max >= 2:
-        k = np.arange(2, k_max + 1)
-        # geometric levels r^k (1-eta)^(k-2) with r = lam_p / ((1-lam_p) eta),
-        # written as r^2 rho^(k-2) with rho = r (1-eta) < 1, so they stay
-        # finite at eta = 1 and where r^k alone would overflow
-        r = lam_p / ((1.0 - lam_p) * eta)
-        shape = r * r * (r * (1.0 - eta)) ** (k - 2)
-        pi[..., 2:] = pi0 * lam_p * (1.0 - alpha) * shape
-        eps[..., 2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
+        # r^2 rho^(k-2) rather than r^k (1-eta)^(k-2) stays finite at eta = 1
+        # and where r^k alone would overflow
+        r, rho = _ratios(point, lam_p)
+        shape = r * r * rho ** np.arange(k_max - 1)
+        pi[2:] = pi0 * lam_p * (1.0 - alpha) * shape
+        eps[2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
     return pi, eps
-
-
-def _degenerate_delay(lam_p, alpha, gamma, eta, pi0):
-    """Mean primary delay at eta ~ 1, where the delay closed form is 0/0,
-    by Little's law: level 1 holds L1 and level k >= 2 holds
-    L2 rho^(k-2) (see _levels), so the mean queue length is
-    L1 + L2 (2 - rho) / (1 - rho)^2.  A sojourn lasts at least one slot,
-    which rounding can miss, so the result is at least 1.  The inputs are
-    1-d arrays of the affected points."""
-    # at lam_p = 0 a packet only waits out its own transmissions
-    out = 1.0 + (1.0 - alpha) / gamma
-    arrivals = lam_p != 0.0
-    if np.any(arrivals):
-        lam_p, alpha, gamma, eta, pi0 = (v[arrivals] for v in (lam_p, alpha, gamma, eta, pi0))
-        pi, eps = _levels(lam_p, alpha, gamma, eta, pi0, 2)
-        level = pi + eps
-        rho = lam_p / ((1.0 - lam_p) * eta) * (1.0 - eta)
-        tail = level[:, 2] * (2.0 - rho) / ((1.0 - rho) * (1.0 - rho))
-        out[arrivals] = (level[:, 1] + tail) / lam_p
-    return np.maximum(out, 1.0)
 
 
 def report(point: OperatingPoint, traffic: TrafficParams) -> AnalysisReport:
@@ -357,11 +334,9 @@ def _tail_k(point: OperatingPoint, lam_p: float, tol: float) -> int:
     # the mass above level 0 is sum_pi + sum_eps, and sum_pi = lam_p
     if lam_p + point.sum_eps < tol:
         return 0
-    eta = float(point.eta)
-    r = lam_p / ((1.0 - lam_p) * eta)
-    rho = r * (1.0 - eta)
-    # level k >= 2 holds pi0 (1-alpha) r^2 rho^(k-2) in all, so the mass
-    # above level k >= 1 is head / (1 - rho), head the mass of level k + 1
+    r, rho = _ratios(point, lam_p)
+    # the mass above level k >= 1 is head / (1 - rho), head the mass of
+    # level k + 1
     head, k = float(point.pi0) * (1.0 - float(point.alpha)) * r * r, 1
     while head / (1.0 - rho) >= tol:
         head *= rho
@@ -386,7 +361,7 @@ def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     point = _stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p"))
-    pi, eps = _levels(lam_p, mu_p, mu_p, point.eta, point.pi0, k_max)
+    pi, eps = _levels(point, lam_p, k_max)
     return pi + eps
 
 

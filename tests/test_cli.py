@@ -401,19 +401,36 @@ HEAVY_LOAD = {
     "traffic": {"lam_p": 0.99999},
 }
 
+#: a primary that never fails alone but almost always under interference,
+#: at lam_p = 0.99: the secondary senses perfectly and leaves fresh heads
+#: alone, so alpha = 1, but attacks every retransmission, so gamma = 1e-5
+RETX_OUTAGE = {
+    "profile": {"probabilities": {"p_primary": 1.0, "p_primary_conc": 1e-5}},
+    "sensing": {"p_missed_detection": 0.0},
+    "traffic": {"lam_p": 0.99, "lam_e": 1.0},
+    "policy": {"p_sense": 1.0, "p_access_free": 1.0, "p_access_busy": 0.0, "p_access_retx": 1.0},
+}
 
-@pytest.mark.parametrize("command", ["analyze", "optimize"])
-def test_feedback_delay_under_heavy_load_with_a_perfect_primary(tmp_path, capsys, command):
-    # the degenerate eta ~ 1 delay sums the geometric queue levels, which
-    # used to overflow to nan and end in a traceback
-    overlay = write_yaml(tmp_path / "o.yaml", HEAVY_LOAD)
+
+@pytest.mark.parametrize(
+    "command, overlay",
+    [("analyze", HEAVY_LOAD), ("optimize", HEAVY_LOAD), ("analyze", RETX_OUTAGE)],
+    ids=["analyze", "optimize", "analyze-retx-outage"],
+)
+def test_feedback_delay_under_heavy_load_with_a_perfect_primary(
+    tmp_path, capsys, command, overlay
+):
+    # near eta = 1 the delay closed form once summed the geometric queue
+    # levels, which overflowed to nan; at alpha = 1 it once read 1 - 5e-10
+    # slots; both ended in a traceback
+    overlay = write_yaml(tmp_path / "o.yaml", overlay)
     code, out, _ = run_cli(
         capsys, [command, "--preset", "fig4", "--scheme", "feedback", "--config", overlay]
     )
     vals = parse_kv(out)
     assert code == 0
     delay = vals["delay" if command == "analyze" else "delay_at_opt"]
-    # a sojourn lasts at least one slot; the summed levels once gave 1 - 1 ulp
+    # a sojourn lasts at least one slot, and here exactly one
     assert float(delay) == 1.0
     if command == "analyze":
         assert vals["delay_feasible"] == "true"

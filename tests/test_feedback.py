@@ -131,7 +131,7 @@ def test_equal_phase_rates_collapse_to_single_phase(mu, u):
 def test_degenerate_full_service_delay():
     assert fb.primary_delay(1.0, 1.0, 0.0) == 1.0
     assert fb.primary_delay(1.0, 1.0, 0.3) == pytest.approx(1.0, rel=1e-9)
-    # just inside the fallback window
+    # 5e-10 below full service, where the delay once took a level-sum branch
     a = 1.0 - 5e-10
     assert fb.primary_delay(a, a, 0.3) == pytest.approx(1.0, rel=1e-6)
     # near full load r^k of the summed levels overflows, and once gave nan;

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,49 @@ def test_one_chain_at_equal_phases_is_the_geo_geo_1_queue(point):
     assert got.delay == pytest.approx((1.0 - lam) / (mu - lam), rel=rel)
     assert got.mu_s == pytest.approx(lam_e * (nu0 * idle + lam / mu * busy), rel=rel)
     assert got.stable
+
+
+@st.composite
+def stable_chains(draw):
+    """(lam, alpha, gamma) of a stable two-phase chain, up to its edge."""
+    alpha, gamma = draw(unit), draw(unit)
+    u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # lam = u * eta(lam), solved for lam; eta is affine in lam
+    lam = u * gamma / (1.0 + u * (gamma - alpha))
+    assume(closed_forms(lam, alpha, gamma).stable)
+    return lam, alpha, gamma
+
+
+def exact_delay(lam, alpha, gamma) -> Fraction:
+    """The chain's mean delay in exact arithmetic, from the ratio form
+    ((alpha - eta) gap^2 + (1 - lam)^2 (1 - alpha) eta)
+    / (gap (1 - lam) (1 - eta) gamma), which is 0/0 at eta = 1."""
+    lam, alpha, gamma = map(Fraction, (lam, alpha, gamma))
+    eta = lam * alpha + (1 - lam) * gamma
+    gap = eta - lam
+    den = gap * (1 - lam) * (1 - eta) * gamma
+    if den == 0:
+        # eta = 1: gamma = 1 at lam = 0, and alpha = gamma = 1 otherwise
+        return 1 + (1 - alpha) / gamma if lam == 0 else Fraction(1)
+    return ((alpha - eta) * gap * gap + (1 - lam) ** 2 * (1 - alpha) * eta) / den
+
+
+@given(stable_chains())
+@example((0.99, 1.0, 1e-5))  # alpha = 1; once read 1 - 5e-10 slots
+@example((0.3, 0.6, 0.6))  # alpha = gamma
+@example((0.0, 0.3, 0.7))  # lam = 0
+@example((0.0, 1.0, 1.0))  # eta = 1 at lam = 0
+@example((0.4, 1.0, 1.0))  # eta = 1
+@example((0.55555554, 0.2, 1.0))  # 2.8e-8 below eta
+def test_delay_is_at_least_one_slot_and_accurate(point):
+    lam, alpha, gamma = point
+    got = closed_forms(lam, alpha, gamma)
+    assert got.stable
+    assert got.delay >= 1.0
+    exact = exact_delay(lam, alpha, gamma)
+    eta = Fraction(float(got.eta))
+    amplification = 1 + eta / (eta - Fraction(lam))
+    assert abs(Fraction(float(got.delay)) - exact) <= 4 * Fraction(2) ** -52 * amplification * exact
 
 
 @given(st.floats(0.0, 0.9), st.floats(1.0, 100.0))

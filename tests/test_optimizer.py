@@ -300,7 +300,8 @@ def test_result_type(preset_profile, preset_sensing):
 
 
 #: lam_p = 0 on a perfect primary link puts eta = gamma = 1 near the silent
-#: policy, where the retransmission-aware delay formula is 0/0
+#: policy, where the delay is its lam_p = 0 limit 1 + (1 - alpha) / gamma:
+#: a packet only waits out its own transmissions
 ETA_ONE = OptProblem(
     Scheme.FEEDBACK,
     OutageProfile(1.0, 0.2, 0.6, 0.5, 0.3, 0.2),
@@ -456,7 +457,7 @@ def test_solve_many_matches_oracle_on_random_problem_lists(problems):
 #: lam_p values of a lockstep batch: at 0.1671, (1 - lam_p) ** 2 through
 #: Python's pow() and through numpy's multiply round differently, so a closed
 #: form that squared with ** would give a scalar point other bits than its
-#: batch entry; 0 takes its own branch at eta ~ 1
+#: batch entry; 0 gives the delay's lam_p = 0 limit 1 + (1 - alpha) / gamma
 PER_POINT_LAM_P = (0.0, 0.0523, 0.1671, 0.3648)
 
 
@@ -467,8 +468,9 @@ def test_closed_forms_with_per_point_traffic_match_scalar_bitwise(scheme):
     owner = np.repeat(np.arange(len(PER_POINT_LAM_P)), n)
     lam_p = np.array(PER_POINT_LAM_P)[owner]
     alpha, gamma, idle, busy, retx, lam_e = rng.random((6, lam_p.size))
-    # eta ~ 1 (alpha and gamma within 1e-11 of 1) on a quarter of the rows,
-    # which then mix lam_p = 0 with lam_p > 0
+    # eta ~ 1 (alpha and gamma within 1e-11 of 1), where the delay is within
+    # 1e-10 of one slot, on a quarter of the rows, which then mix lam_p = 0
+    # with lam_p > 0
     near = rng.random(lam_p.size) < 0.25
     alpha[near] = 1.0 - 1e-11 * rng.random(near.sum())
     gamma[near] = 1.0 - 1e-11 * rng.random(near.sum())
