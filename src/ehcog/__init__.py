@@ -21,7 +21,6 @@ from .outage import (
     transmission_rate,
 )
 from .nofeedback import AnalysisReport
-from .feedback import FeedbackChainStats
 from .optimizer import OptProblem, OptResult, SolverConfig, grid_oracle, solve, solve_many
 from .simulator import (
     SimSemantics,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "CrossSnr",
-    "FeedbackChainStats",
     "LinkBudget",
     "OptProblem",
     "OptResult",

@@ -35,7 +35,10 @@ arrays of their broadcast shape.
 closed_forms() is the one place the queue-level formulas are written, and
 report() the one place an AnalysisReport is built; both schemes' analyze,
 the optimizer and the simulator checks read them, through each scheme's
-operating_point() when they start from a policy.
+operating_point() when they start from a policy.  primary_delay,
+state_probs and tail_k_max read one stable scalar point of the chain, and
+take (lam_p, alpha, gamma) in closed_forms' order; the sensing-only chain
+passes mu_p twice.
 """
 from __future__ import annotations
 
@@ -255,26 +258,6 @@ def _ratios(point: OperatingPoint, lam_p: float):
     return r, r * ((1.0 - gamma) - lam_p * (alpha - gamma))
 
 
-def _levels(point: OperatingPoint, lam_p: float, k_max: int):
-    """Per-level masses (pi, eps) for queue lengths 0..k_max of the stable
-    scalar chain point at arrival rate lam_p."""
-    alpha, gamma, eta, pi0 = (float(v) for v in (point.alpha, point.gamma, point.eta, point.pi0))
-    pi = np.zeros(k_max + 1)
-    eps = np.zeros_like(pi)
-    pi[0] = pi0
-    if k_max >= 1:
-        pi[1] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
-        eps[1] = pi0 * (lam_p / eta) * (1.0 - alpha)
-    if k_max >= 2:
-        # r^2 rho^(k-2) rather than r^k (1-eta)^(k-2) stays finite at eta = 1
-        # and where r^k alone would overflow
-        r, rho = _ratios(point, lam_p)
-        shape = r * r * rho ** np.arange(k_max - 1)
-        pi[2:] = pi0 * lam_p * (1.0 - alpha) * shape
-        eps[2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
-    return pi, eps
-
-
 def report(point: OperatingPoint, traffic: TrafficParams) -> AnalysisReport:
     """The AnalysisReport of one scalar operating point under traffic, for
     either scheme.
@@ -313,12 +296,11 @@ def analyze(
     return report(operating_point(profile, policy, sensing, traffic), traffic)
 
 
-def _stable_point(lam_p, alpha, gamma, names=("alpha", "gamma")) -> OperatingPoint:
-    """closed_forms of the chain with the given rates, whose errors call
-    alpha and gamma by names (mu_p twice for the sensing-only chain).
-    Raises ValueError on a rate outside [0, 1], NaN included, and Unstable
-    when lam_p >= eta."""
-    for name, v in zip(("lam_p", *names), (lam_p, alpha, gamma)):
+def _stable_point(lam_p, alpha, gamma) -> OperatingPoint:
+    """closed_forms of the chain with the given rates.  Raises ValueError
+    on a rate outside [0, 1], NaN included, and Unstable when
+    lam_p >= eta."""
+    for name, v in (("lam_p", lam_p), ("alpha", alpha), ("gamma", gamma)):
         arr = np.asarray(v, dtype=float)
         if not np.all((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL)):
             raise ValueError(f"{name}={v!r} outside [0, 1]")
@@ -328,9 +310,45 @@ def _stable_point(lam_p, alpha, gamma, names=("alpha", "gamma")) -> OperatingPoi
     return point
 
 
-def _tail_k(point: OperatingPoint, lam_p: float, tol: float) -> int:
-    """Smallest K >= 0 whose stationary mass above level K is below tol,
-    for the stable scalar chain point at arrival rate lam_p."""
+def primary_delay(lam_p: float, alpha: float, gamma: float) -> float:
+    """Mean primary queueing delay (arrival slot to departure slot) in
+    slots of the chain; the sensing-only chain is alpha = gamma = mu_p."""
+    return float(_stable_point(lam_p, alpha, gamma).delay)
+
+
+def state_probs(lam_p: float, alpha: float, gamma: float, k_max: int):
+    """Stationary per-level masses (pi, eps) of the chain for queue lengths
+    0..k_max; pi + eps is the queue-length pmf.
+
+    pi[k] is the probability of k queued packets with a fresh head, eps[k]
+    with a retransmitted head.  eps[0] is zero by convention: an empty queue
+    has no head packet.  Arrivals are counted at slot end, so a packet
+    arriving to an empty queue is first served in the next slot.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    point = _stable_point(lam_p, alpha, gamma)
+    alpha, gamma, eta, pi0 = (float(v) for v in (point.alpha, point.gamma, point.eta, point.pi0))
+    pi = np.zeros(k_max + 1)
+    eps = np.zeros_like(pi)
+    pi[0] = pi0
+    if k_max >= 1:
+        pi[1] = pi0 * (lam_p / (1.0 - lam_p)) * (lam_p + (1.0 - lam_p) * gamma) / eta
+        eps[1] = pi0 * (lam_p / eta) * (1.0 - alpha)
+    if k_max >= 2:
+        # r^2 rho^(k-2) rather than r^k (1-eta)^(k-2) stays finite at eta = 1
+        # and where r^k alone would overflow
+        r, rho = _ratios(point, lam_p)
+        shape = r * r * rho ** np.arange(k_max - 1)
+        pi[2:] = pi0 * lam_p * (1.0 - alpha) * shape
+        eps[2:] = pi0 * (1.0 - lam_p) * (1.0 - alpha) * shape
+    return pi, eps
+
+
+def tail_k_max(lam_p: float, alpha: float, gamma: float, tol: float = TAIL_TOL) -> int:
+    """Smallest K >= 0 whose stationary mass above level K is below tol;
+    0 at lam_p = 0."""
+    point = _stable_point(lam_p, alpha, gamma)
     # the mass above level 0 is sum_pi + sum_eps, and sum_pi = lam_p
     if lam_p + point.sum_eps < tol:
         return 0
@@ -344,28 +362,3 @@ def _tail_k(point: OperatingPoint, lam_p: float, tol: float) -> int:
         if k > 10_000_000:  # pragma: no cover
             raise RuntimeError("tail does not shrink; check parameters")
     return k
-
-
-def primary_delay(lam_p: float, mu_p: float):
-    """Mean primary queueing delay (arrival slot to departure slot) in
-    slots under the sensing-only chain."""
-    return _stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p")).delay
-
-
-def stationary_dist(lam_p: float, mu_p: float, k_max: int) -> np.ndarray:
-    """Stationary queue-length pmf nu_0..nu_k_max of the sensing-only chain.
-
-    Arrivals are counted at slot end, so a packet arriving to an empty queue
-    is first served in the next slot.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    point = _stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p"))
-    pi, eps = _levels(point, lam_p, k_max)
-    return pi + eps
-
-
-def tail_k_max(lam_p: float, mu_p: float, tol: float = TAIL_TOL) -> int:
-    """Smallest K >= 0 with stationary mass above K below tol; 0 at
-    lam_p = 0."""
-    return _tail_k(_stable_point(lam_p, mu_p, mu_p, ("mu_p", "mu_p")), lam_p, tol)

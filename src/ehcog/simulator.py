@@ -545,8 +545,12 @@ def validate_lower_bound(
 ) -> LowerBoundReport:
     """Run both semantics with common random numbers and check the claimed
     ordering of mu_s: the backlogged variant never beats the exact system,
-    and the closed form never exceeds the exact system (beyond Monte Carlo
-    noise).
+    and, away from the primary's stability edge, the closed form never
+    exceeds the exact system (beyond Monte Carlo noise).  Near the edge the
+    second claim fails: at fig6's sensing-only optimum at lam_p 0.65
+    (mu_p 0.667) the closed form gives mu_s 0.018386, and at 1M slots the
+    exact run reads 0.016333 (SE 0.00049) at seed 0, which fails
+    "mu_s analytic <= exact + 3se", and 0.017579 at seed 1, which passes.
     The backlogged run is closed_form_checks', so the report also carries
     its residual checks (closed_form) without a second run.
 

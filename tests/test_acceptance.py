@@ -27,7 +27,6 @@ from ehcog import (
     run,
     solve,
 )
-from ehcog import feedback as fb
 from ehcog import nofeedback as nofb
 from ehcog.outage import success_prob_concurrent, success_prob_solo
 from ehcog.cli import main as cli_main
@@ -75,21 +74,21 @@ def test_criterion_01_chain_masses_match_independent_oracles():
     t0 = time.monotonic()
     rng = np.random.default_rng(20260814)
     for lam, mu in stable_single_phase_draws(rng, 1000):
-        k_max = max(nofb.tail_k_max(lam, mu), 4) + 8
+        k_max = max(nofb.tail_k_max(lam, mu, mu), 4) + 8
         pi = stationary(single_phase_chain(lam, mu, k_max))
-        nu = nofb.stationary_dist(lam, mu, k_max)
-        assert np.abs(pi - nu).sum() <= 1e-8
+        pi_c, eps_c = nofb.state_probs(lam, mu, mu, k_max)
+        assert np.abs(pi - (pi_c + eps_c)).sum() <= 1e-8
     for lam, alpha, gamma in stable_two_phase_draws(rng, 1000):
-        s = fb.chain_stats(alpha, gamma, lam)
-        assert abs(s.pi0 + s.sum_pi + s.sum_eps - 1.0) <= 1e-12
-        k_max = max(fb.tail_k_max(alpha, gamma, lam), 4) + 8
+        s = nofb.closed_forms(lam, alpha, gamma)
+        assert abs(s.pi0 + lam + s.sum_eps - 1.0) <= 1e-12
+        k_max = max(nofb.tail_k_max(lam, alpha, gamma), 4) + 8
         P, labels = two_phase_chain(lam, alpha, gamma, k_max)
         pi_o, eps_o = collect_two_phase(stationary(P), labels, k_max)
-        pi, eps = fb.state_probs(alpha, gamma, lam, k_max)
+        pi, eps = nofb.state_probs(lam, alpha, gamma, k_max)
         assert np.abs(pi - pi_o).sum() + np.abs(eps - eps_o).sum() <= 1e-8
     # spot-check the linear-solve oracle against plain power iteration
     for lam, mu in stable_single_phase_draws(np.random.default_rng(1), 40):
-        k_max = max(nofb.tail_k_max(lam, mu), 4) + 8
+        k_max = max(nofb.tail_k_max(lam, mu, mu), 4) + 8
         if k_max > 50:
             continue
         P = single_phase_chain(lam, mu, k_max)
@@ -103,28 +102,29 @@ def test_criterion_02_delay_series_and_collapse():
     for _ in range(1000):
         mu = rng.uniform(0.1, 1.0)
         lam = mu * rng.uniform(0.05, 0.85)
-        k_max = max(nofb.tail_k_max(lam, mu, tol=1e-14), 4) + 8
-        d_series = series_delay(nofb.stationary_dist(lam, mu, k_max), lam)
-        assert d_series == pytest.approx(nofb.primary_delay(lam, mu), rel=1e-8)
+        k_max = max(nofb.tail_k_max(lam, mu, mu, tol=1e-14), 4) + 8
+        pi, eps = nofb.state_probs(lam, mu, mu, k_max)
+        d_series = series_delay(pi + eps, lam)
+        assert d_series == pytest.approx(nofb.primary_delay(lam, mu, mu), rel=1e-8)
     for _ in range(1000):
         alpha = rng.uniform(0.05, 1.0)
         gamma = rng.uniform(0.1, 1.0)
         u = rng.uniform(0.05, 0.85)
         lam = u * gamma / (1.0 + u * (gamma - alpha))
-        if fb.chain_stats(alpha, gamma, lam).eta >= 1.0 - 1e-9:
-            continue  # closed form defers to the series there by construction
-        k_max = max(fb.tail_k_max(alpha, gamma, lam, tol=1e-14), 4) + 8
-        pi, eps = fb.state_probs(alpha, gamma, lam, k_max)
+        if nofb.closed_forms(lam, alpha, gamma).eta >= 1.0 - 1e-9:
+            continue  # never taken: the largest eta of these draws is 0.9992
+        k_max = max(nofb.tail_k_max(lam, alpha, gamma, tol=1e-14), 4) + 8
+        pi, eps = nofb.state_probs(lam, alpha, gamma, k_max)
         d_series = series_delay(pi + eps, lam)
         assert d_series == pytest.approx(
-            fb.primary_delay(alpha, gamma, lam), rel=1e-8
+            nofb.primary_delay(lam, alpha, gamma), rel=1e-8
         )
     for _ in range(1000):
         mu = rng.uniform(0.1, 1.0 - 1e-6)
         lam = mu * rng.uniform(0.0, 0.85)
-        d_n = nofb.primary_delay(lam, mu)
-        d_f = fb.primary_delay(mu, mu, lam)
-        assert abs(d_f - d_n) <= 1e-12 * max(1.0, d_n)
+        d = nofb.primary_delay(lam, mu, mu)
+        geo_geo_1 = (1.0 - lam) / (mu - lam)
+        assert abs(d - geo_geo_1) <= 1e-12 * max(1.0, geo_geo_1)
     assert time.monotonic() - t0 < 60.0
 
 

@@ -26,7 +26,7 @@ from ehcog.nofeedback import (
     primary_delay,
     primary_service_rate,
     service_brackets,
-    stationary_dist,
+    state_probs,
     tail_k_max,
 )
 
@@ -158,19 +158,20 @@ def test_unstable_is_a_value_error():
 
 
 def test_delay_validation():
-    with pytest.raises(Unstable):
-        primary_delay(0.5, 0.5)
     # the chain's three functions share one range check; tail_k_max once
     # returned 0 and 1 for these rates, and 0 for a NaN lam_p
-    for chain in (primary_delay, tail_k_max, lambda lam_p, mu_p: stationary_dist(lam_p, mu_p, 4)):
-        with pytest.raises(ValueError, match=r"lam_p=-0.1 outside \[0, 1\]"):
-            chain(-0.1, 0.5)
-        with pytest.raises(ValueError, match=r"mu_p=1.5 outside \[0, 1\]"):
-            chain(0.3, 1.5)
-        with pytest.raises(ValueError, match=r"lam_p=nan outside \[0, 1\]"):
-            chain(math.nan, 0.5)
-        with pytest.raises(ValueError, match=r"mu_p=nan outside \[0, 1\]"):
-            chain(0.2, math.nan)
+    bad = (
+        ((-0.1, 0.5, 0.5), "lam_p=-0.1"),
+        ((0.3, 1.5, 1.5), "alpha=1.5"),
+        ((math.nan, 0.5, 0.5), "lam_p=nan"),
+        ((0.2, math.nan, math.nan), "alpha=nan"),
+    )
+    for chain in (primary_delay, tail_k_max, lambda *rates: state_probs(*rates, 4)):
+        with pytest.raises(Unstable):
+            chain(0.5, 0.5, 0.5)
+        for rates, message in bad:
+            with pytest.raises(ValueError, match=rf"{message} outside \[0, 1\]"):
+                chain(*rates)
 
 
 @st.composite
@@ -253,47 +254,56 @@ def test_delay_hits_bound_at_threshold_rate(lam, bound):
     # the service rate that makes the delay exactly equal to the bound
     mu = lam + (1.0 - lam) / bound
     assert mu <= 1.0 + 1e-12
-    assert primary_delay(lam, min(mu, 1.0)) == pytest.approx(bound, rel=1e-9)
+    mu = min(mu, 1.0)
+    assert primary_delay(lam, mu, mu) == pytest.approx(bound, rel=1e-9)
 
 
 @given(st.floats(0.0, 0.9))
 def test_empty_queue_delay_is_one_slot(lam):
-    assert primary_delay(lam, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert primary_delay(lam, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def pmf(lam, alpha, gamma, k_max):
+    """Queue-length pmf of the chain for lengths 0..k_max."""
+    pi, eps = state_probs(lam, alpha, gamma, k_max)
+    return pi + eps
 
 
 def test_stationary_dist_at_full_service():
-    nu = stationary_dist(0.3, 1.0, 5)
-    assert nu == pytest.approx([0.7, 0.3, 0.0, 0.0, 0.0, 0.0], abs=1e-15)
+    assert pmf(0.3, 1.0, 1.0, 5) == pytest.approx([0.7, 0.3, 0.0, 0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_stationary_dist_matches_chain_oracle():
     rng = np.random.default_rng(5)
     for lam, mu in stable_single_phase_draws(rng, 25):
-        k_max = max(tail_k_max(lam, mu), 4) + 8
+        k_max = max(tail_k_max(lam, mu, mu), 4) + 8
         pi = stationary(single_phase_chain(lam, mu, k_max))
-        nu = stationary_dist(lam, mu, k_max)
+        nu = pmf(lam, mu, mu, k_max)
         assert np.abs(pi - nu).sum() < 1e-8
         assert nu.sum() == pytest.approx(1.0, abs=1e-10)
         if lam > 1e-3:
             assert series_delay(pi, lam) == pytest.approx(
-                primary_delay(lam, mu), rel=1e-8, abs=1e-8
+                primary_delay(lam, mu, mu), rel=1e-8, abs=1e-8
             )
 
 
 def test_tail_bound_actually_covers_the_mass():
     rng = np.random.default_rng(6)
     for lam, mu in stable_single_phase_draws(rng, 25):
-        k = tail_k_max(lam, mu, tol=1e-10)
-        assert 1.0 - stationary_dist(lam, mu, k).sum() < 1e-10 + 1e-14
-    assert tail_k_max(0.0, 0.5) == 0
+        k = tail_k_max(lam, mu, mu, tol=1e-10)
+        assert 1.0 - pmf(lam, mu, mu, k).sum() < 1e-10 + 1e-14
+    assert tail_k_max(0.0, 0.5, 0.5) == 0
 
 
 def test_stationary_dist_stays_finite_under_heavy_load():
-    # r = lam_p / ((1-lam_p) mu_p) = 2.48 here: r^k overflows long before
-    # the tail ends, and inf * 0 used to give 522 nan levels
-    nu = stationary_dist(0.6, 0.605, tail_k_max(0.6, 0.605))
-    assert np.isfinite(nu).all()
-    assert_mass_covers(nu, 1e-12)
+    # r = lam_p / ((1-lam_p) mu_p) = 2.48 at the first point and 1.98 at
+    # the second: r^k overflows long before the tail ends, and inf * 0 used
+    # to give 522 nan levels at the first and 3,376 nan masses out of 5,530
+    # at the second
+    for lam, mu in ((0.6, 0.605), (0.4975, 0.5)):
+        pi, eps = state_probs(lam, mu, mu, tail_k_max(lam, mu, mu))
+        assert np.isfinite(pi).all() and np.isfinite(eps).all()
+        assert_mass_covers(pi + eps, 1e-12)
 
 
 def tail_above(nu, k):
@@ -303,21 +313,24 @@ def tail_above(nu, k):
 
 def test_tail_k_max_is_the_smallest_k():
     # the mass above 12 is already below 1e-12
-    assert tail_k_max(0.1, 0.5) == 12
-    nu = stationary_dist(0.1, 0.5, 60)
+    assert tail_k_max(0.1, 0.5, 0.5) == 12
+    nu = pmf(0.1, 0.5, 0.5, 60)
     assert tail_above(nu, 12) < 1e-12 <= tail_above(nu, 11)
+    assert tail_k_max(0.0, 0.5, 0.5) == 0
 
 
 @settings(max_examples=60)
 @given(st.floats(0.01, 1.0), st.floats(0.0, 0.995), st.sampled_from([1e-6, 1e-10, 1e-12]))
+@example(0.01, 0.995, 1e-12)  # slowest decay
+@example(1.0, 0.5, 1e-12)  # full service
 def test_tail_k_max_is_minimal_and_its_levels_are_finite(mu, u, tol):
     lam = mu * u
-    k = tail_k_max(lam, mu, tol)
-    nu = stationary_dist(lam, mu, k)
+    k = tail_k_max(lam, mu, mu, tol)
+    nu = pmf(lam, mu, mu, k)
     assert np.isfinite(nu).all()
     assert_mass_covers(nu, tol)
     # levels far enough out that what lies beyond them is negligible
-    nu = stationary_dist(lam, mu, tail_k_max(lam, mu, tol * 1e-6) + 1)
+    nu = pmf(lam, mu, mu, tail_k_max(lam, mu, mu, tol * 1e-6) + 1)
     assert tail_above(nu, k) < tol * (1 + 1e-9)
     if k > 0:
         assert tail_above(nu, k - 1) >= tol * (1 - 1e-9)
@@ -332,7 +345,7 @@ def test_analyze_matches_parts_bitwise(preset_profile, preset_sensing):
     # the sensing-only scheme is the one chain at gamma = alpha, retx = busy
     point = closed_forms(0.1, rep.mu_p, rep.mu_p, idle, busy, busy, 0.6)
     assert rep.mu_s == point.mu_s
-    assert rep.delay == point.delay == primary_delay(0.1, rep.mu_p)
+    assert rep.delay == point.delay == primary_delay(0.1, rep.mu_p, rep.mu_p)
     assert rep.nu0 == point.pi0
     assert rep.delay_feasible == (rep.delay <= 30.0)
     assert rep.secondary_stable == (0.2 < rep.mu_s)
