@@ -405,19 +405,17 @@ def cmd_validate(cfg: dict) -> int:
     report = simulator.validate_lower_bound(
         scheme, policy, profile, sensing, traffic, n_slots, seed
     )
-    every = report.closed_form + report.checks
     rows = []
-    for c in every:
+    for c in report.closed_form + report.checks:
         rows.append([_fmt(getattr(c, name)) for name in VALIDATE_HEADER])
         measures = " ".join(f"{n}={v}" for n, v in zip(VALIDATE_HEADER[2:6], rows[-1][2:6]))
         print(f"[{c.kind}] {c.name}: {measures} {'PASS' if c.passed else 'FAIL'}")
-    unstable = report.unstable or not report.closed_form
     if cfg.get("out"):
         _write_csv(cfg["out"], VALIDATE_HEADER, rows)
-    if unstable:
+    if report.unstable:
         print("unstable detected: checks reported, not asserted")
         return 0
-    return 0 if all(c.passed for c in every) else 3
+    return 0 if report.all_passed else 3
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ stability.  At p_access_retx = I the chain is the sensing-only one.
 from __future__ import annotations
 
 from . import nofeedback
-from .params import OutageProfile, PolicyFb, PolicyNoFb, SensingQuality, TrafficParams
+from .params import OutageProfile, PolicyFb, SensingQuality, TrafficParams
 from .nofeedback import AnalysisReport
 
 
@@ -44,25 +44,13 @@ def success_probs(
     return alpha, gamma
 
 
-def fresh_rates(
-    profile: OutageProfile,
-    policy: PolicyNoFb,
-    sensing: SensingQuality,
-    lam_e: float,
-):
-    """(alpha, idle, busy): the rates of empty and fresh-head slots, which
-    are the sensing-only ones.  They read only the sensing/access fields of
-    policy, so p_access_retx does not move them."""
-    alpha = nofeedback.primary_service_rate(profile, policy, sensing, lam_e)
-    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
-    return alpha, idle, busy
-
-
 def chain_at(profile: OutageProfile, alpha, idle, busy, p_access_retx, traffic: TrafficParams):
-    """nofeedback.closed_forms of the chain with fresh_rates alpha, idle and
-    busy at retransmission access p_access_retx.  In a retransmission slot
-    the secondary transmits blindly over the full slot against a busy
-    channel, so gamma is the primary success at mass p_access_retx."""
+    """nofeedback.closed_forms of the chain with the sensing-only alpha,
+    idle and busy (the rates of fresh-head and empty slots, which read only
+    the sensing/access fields of a policy) at retransmission access
+    p_access_retx.  In a retransmission slot the secondary transmits
+    blindly over the full slot against a busy channel, so gamma is the
+    primary success at mass p_access_retx."""
     gamma = nofeedback.primary_success(profile, traffic.lam_e, p_access_retx)
     retx = p_access_retx * profile.p_sec_full_conc
     lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
@@ -77,8 +65,9 @@ def operating_point(
 ) -> nofeedback.OperatingPoint:
     """nofeedback.closed_forms of a policy (scalar or batched) under
     traffic."""
-    rates = fresh_rates(profile, policy, sensing, traffic.lam_e)
-    return chain_at(profile, *rates, policy.p_access_retx, traffic)
+    alpha = nofeedback.primary_service_rate(profile, policy, sensing, traffic.lam_e)
+    idle, busy = nofeedback.service_brackets(profile, policy, sensing)
+    return chain_at(profile, alpha, idle, busy, policy.p_access_retx, traffic)
 
 
 def analyze(

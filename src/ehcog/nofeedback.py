@@ -348,17 +348,27 @@ def state_probs(lam_p: float, alpha: float, gamma: float, k_max: int):
 def tail_k_max(lam_p: float, alpha: float, gamma: float, tol: float = TAIL_TOL) -> int:
     """Smallest K >= 0 whose stationary mass above level K is below tol;
     0 at lam_p = 0."""
+    if not tol > 0.0:
+        raise ValueError(f"tol={tol!r} must be > 0")
     point = _stable_point(lam_p, alpha, gamma)
     # the mass above level 0 is sum_pi + sum_eps, and sum_pi = lam_p
     if lam_p + point.sum_eps < tol:
         return 0
     r, rho = _ratios(point, lam_p)
-    # the mass above level k >= 1 is head / (1 - rho), head the mass of
-    # level k + 1
-    head, k = float(point.pi0) * (1.0 - float(point.alpha)) * r * r, 1
-    while head / (1.0 - rho) >= tol:
-        head *= rho
+    # the mass above level k >= 1 is head rho^(k-1) / (1 - rho), head the
+    # mass of level 2; head is 0 at alpha = 1 and at eta = 1
+    head = float(point.pi0) * (1.0 - float(point.alpha)) * r * r
+
+    def above(k):
+        return head * rho ** (k - 1) / (1.0 - rho)
+
+    if above(1) < tol:
+        return 1
+    # the smallest k >= 2 with above(k) < tol, solved with logs and then
+    # stepped onto the float comparison itself
+    k = max(2, math.floor(math.log(tol * (1.0 - rho) / head) / math.log(rho)) + 2)
+    while k > 2 and above(k - 1) < tol:
+        k -= 1
+    while above(k) >= tol:
         k += 1
-        if k > 10_000_000:  # pragma: no cover
-            raise RuntimeError("tail does not shrink; check parameters")
     return k

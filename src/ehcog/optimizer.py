@@ -76,7 +76,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import feedback
+from . import feedback, nofeedback
 from .nofeedback import STABILITY_MARGIN
 from .params import (
     OutageProfile,
@@ -303,9 +303,10 @@ def _fiber_best(problem, cols, vals):
     """
     profile, traffic = problem.profile, problem.traffic
     policy = unchecked(PolicyNoFb, *cols)
-    rates = feedback.fresh_rates(profile, policy, problem.sensing, traffic.lam_e)
+    alpha = nofeedback.primary_service_rate(profile, policy, problem.sensing, traffic.lam_e)
+    idle, busy = nofeedback.service_brackets(profile, policy, problem.sensing)
     shape = np.broadcast_shapes(*map(np.shape, cols))
-    alpha, idle, busy = (np.broadcast_to(v, shape).ravel() for v in rates)
+    alpha, idle, busy = (np.broadcast_to(v, shape).ravel() for v in (alpha, idle, busy))
 
     def score(j, rows=slice(None)):
         point = feedback.chain_at(profile, alpha[rows], idle[rows], busy[rows], vals[j], traffic)

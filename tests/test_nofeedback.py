@@ -319,6 +319,29 @@ def test_tail_k_max_is_the_smallest_k():
     assert tail_k_max(0.0, 0.5, 0.5) == 0
 
 
+@pytest.mark.parametrize(
+    "gap, k_max", [(1e-5, 690_776), (1e-6, 6_907_755), (1e-7, 69_077_553)]
+)
+def test_tail_k_max_near_the_stability_edge(gap, k_max):
+    # a walk over the levels once took 0.7 s at gap 1e-6 and gave up at
+    # 1e-7, where lam_p < eta still holds
+    lam, mu = 0.5 - gap, 0.5
+    pi0, r = (mu - lam) / mu, lam / ((1.0 - lam) * mu)
+    rho = r * (1.0 - mu)
+
+    def above(k):  # the mass above level k >= 1
+        return pi0 * (1.0 - mu) * r * r * rho ** (k - 1) / (1.0 - rho)
+
+    assert tail_k_max(lam, mu, mu) == k_max
+    assert above(k_max) < 1e-12 <= above(k_max - 1)
+
+
+def test_tail_k_max_needs_a_positive_tol():
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="must be > 0"):
+            tail_k_max(0.1, 0.5, 0.5, tol)
+
+
 @settings(max_examples=60)
 @given(st.floats(0.01, 1.0), st.floats(0.0, 0.995), st.sampled_from([1e-6, 1e-10, 1e-12]))
 @example(0.01, 0.995, 1e-12)  # slowest decay

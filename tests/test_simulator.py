@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -385,8 +386,8 @@ ROUNDS = simulator.FIXPOINT_ROUNDS
 @example(config=NO_PRIMARY, semantics=BACKLOGGED, n_slots=2000, seed=5, block=64, rounds=ROUNDS)
 @example(config=UNSTABLE, semantics=BACKLOGGED, n_slots=3000, seed=6, block=7, rounds=ROUNDS)
 @example(config=FB, semantics=EXACT, n_slots=3000, seed=7, block=simulator.BLOCK_SLOTS, rounds=ROUNDS)
-# one scan round cannot settle a scarce EXACT block: the loop finishes that
-# block from its first unproven slot, and the run's later blocks
+# one scan round cannot settle a scarce EXACT block: the loop walks that
+# whole block, and the run's later blocks
 @example(config=SCARCE, semantics=EXACT, n_slots=3000, seed=8, block=7, rounds=1)
 @example(config=SCARCE, semantics=EXACT, n_slots=3000, seed=9, block=64, rounds=1)
 @example(config=SCARCE, semantics=EXACT, n_slots=3000, seed=10, block=64, rounds=ROUNDS)
@@ -423,7 +424,7 @@ def test_running_out_of_rounds_hands_the_rest_of_the_run_to_the_loop(monkeypatch
     monkeypatch.setattr(simulator, "FIXPOINT_ROUNDS", 1)
     run(*SCARCE, EXACT, 3000, 9)
     first = calls.index("_slot_loop")
-    # the loop finishes the block whose scans ran out, then loops every later block
+    # the scans give up on a block, and the loop walks it and every later block
     assert calls[first - 1] == "_scan_block"
     assert calls[first:] == ["_slot_loop"] * (len(calls) - first) and len(calls) - first > 1
 
@@ -492,6 +493,19 @@ def test_simulator_memory_per_slot_is_bounded(scheme, semantics):
     # a run holding every slot at once peaked at 31 B/slot, 6.2 MB here;
     # streamed in blocks it holds one block, about 1 MB at any length
     assert traced_peak(run, *hand_config(scheme), semantics, 200_000) < 1.5 * 2**20
+
+
+def test_report_verdict_reads_every_check():
+    # the report's verdict is the CLI's: a failing closed-form check fails
+    # it, and a point the closed forms call unstable is unstable before
+    # either run drifts
+    rep = validate_lower_bound(*hand_config(Scheme.NOFEEDBACK), 20_000, 0)
+    assert rep.all_passed and not rep.unstable
+    failing = dataclasses.replace(rep.closed_form[0], passed=False)
+    assert not dataclasses.replace(rep, closed_form=(failing, *rep.closed_form[1:])).all_passed
+    rep = validate_lower_bound(*UNSTABLE, 100, 0)
+    assert rep.closed_form == () and not rep.exact.drift_detected
+    assert rep.unstable
 
 
 @pytest.mark.parametrize("n_slots", [30, 50, 100])
