@@ -19,6 +19,8 @@ stability.  At p_access_retx = I the chain is the sensing-only one.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from . import nofeedback
 from .params import OutageProfile, PolicyFb, SensingQuality, TrafficParams
 from .nofeedback import AnalysisReport
@@ -55,6 +57,17 @@ def chain_at(profile: OutageProfile, alpha, idle, busy, p_access_retx, traffic: 
     retx = p_access_retx * profile.p_sec_full_conc
     lam_p, lam_e, bound = traffic.lam_p, traffic.lam_e, traffic.delay_bound
     return nofeedback.closed_forms(lam_p, alpha, gamma, idle, busy, retx, lam_e, bound)
+
+
+def retx_cap(profile: OutageProfile, alpha, traffic: TrafficParams):
+    """The largest p_access_retx at which chain_at is feasible, in exact
+    arithmetic: where gamma = p - lam_e (p - pc) p_access_retx falls to
+    nofeedback.gamma_floor.  Where lam_e (p - pc) = 0, gamma does not move
+    with p_access_retx, and the cap is +-inf or nan."""
+    p = profile.p_primary
+    floor = nofeedback.gamma_floor(traffic.lam_p, alpha, traffic.delay_bound)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p - floor) / (traffic.lam_e * (p - profile.p_primary_conc))
 
 
 def operating_point(

@@ -232,6 +232,24 @@ def closed_forms(
     )
 
 
+def gamma_floor(lam_p, alpha, delay_bound=math.inf):
+    """The smallest gamma at which closed_forms calls the chain with
+    fresh-head rate alpha feasible, in exact arithmetic: the larger of the
+    stability floor (lam_p (1 - alpha) + STABILITY_MARGIN) / (1 - lam_p) and
+    the delay floor, the larger root of D <= Db times (eta - lam_p) gamma,
+    (Db - 1)(1 - lam_p) gamma^2 - [(Db - 1) lam_p (1 - alpha)
+    + (1 - alpha)(1 - lam_p)] gamma - (1 - alpha) lam_p alpha, with
+    Db = delay_bound + DELAY_SLACK.  The root is taken divided through by
+    Db - 1, so an infinite bound gives the stability edge."""
+    fresh_loss = 1.0 - np.asarray(alpha, dtype=float)
+    slack = delay_bound + DELAY_SLACK - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = lam_p * fresh_loss + fresh_loss * (1.0 - lam_p) / slack
+        c = fresh_loss * lam_p * alpha / slack
+        delay_floor = (b + np.sqrt(b * b + 4.0 * (1.0 - lam_p) * c)) / (2.0 * (1.0 - lam_p))
+        return np.maximum((lam_p * fresh_loss + STABILITY_MARGIN) / (1.0 - lam_p), delay_floor)
+
+
 def operating_point(
     profile: OutageProfile,
     policy: PolicyNoFb,

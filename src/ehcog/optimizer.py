@@ -30,24 +30,19 @@ and TIE_TOL as the window within which two scores tie (ties go to the
 lexicographically smallest point).  Every grid scan, the audit's and
 grid_oracle()'s, scores GRID_CHUNK points per closed-form batch at most.
 
-A grid scan makes one scoring pass, recording each chunk's best score, and
-then re-scores the one chunk that holds the winner: the first within
-TIE_TOL of the overall best.  A chunk is never spelled out as a point
-matrix: its outer coordinates are scalars and its inner ones broadcast
-axes, so each quantity is computed only over the axes it depends on.  The
-access masses a, b and c come from the (p_sense, p_access_direct),
-(p_sense, p_access_free) and (p_sense, p_access_busy) slabs, at most 2-D.
-The bits do not change: every point's score still comes from the same
-elementwise IEEE operations on the same operands, and the score read in C
-order lists the points lexicographically, as the tie-break needs.
-
-A feedback scan reads each p_access_retx fiber (the grid values of pr at
-fixed other fields) mostly at its ends: mu_s is monotone in pr and the
-feasible values of pr are a prefix of the fiber, so its best grid point is
-its first or its last feasible one, which a bisection on the grid index
-finds (_scan_grid gives the argument).  The fibers within 2 TIE_TOL of the
-best are then scored in full, so the best and the winner are those of the
-whole grid bit for bit.  n_evals still counts every grid point.
+A grid scan is one fiber scan for every scheme (_scan_grid).  A fiber is
+the grid values of the scheme's last variable at fixed other fields.  One
+pass keeps each fiber's best score and one walk scores the fibers within
+2 TIE_TOL of the best in full, in lexicographic order, for the winner: the
+first point within TIE_TOL of the best.  A sensing-only or random-access
+fiber is scored in full in the pass too.  A feedback fiber is scored at its
+ends and at its feasible edge, which feedback.retx_cap reads off the delay
+and stability bounds in closed form; n_evals still counts every grid
+point.  A chunk is never spelled out as a point matrix: its outer
+coordinates are scalars and its inner ones broadcast axes, so each
+quantity is computed only over the axes it depends on.  The bits do not
+change: every point's score comes from the same elementwise IEEE
+operations on the same operands.
 
 The pattern search moves all starts in lockstep: each sweep scores the
 moved probes of every still-active start in shared closed-form batches,
@@ -110,11 +105,11 @@ MIN_STEP = 1e-6
 AUDIT_STEP = 0.1
 #: score window treated as a tie (broken lexicographically)
 TIE_TOL = 1e-12
-#: most points (or fibers, in a feedback scan) per closed-form batch of every
-#: grid scan.  Scoring a batch costs about 42-47 ns a point at 16k-33k points
-#: against 67-71 ns at 131k, where its temporaries no longer fit in cache
-#: (either scheme, on a 2-vCPU x86-64 VM).  The cap also holds a scan's traced
-#: peak memory to 1-3 MB at steps 0.1-0.02.
+#: most points (fiber heads, in a feedback scan's pass) per closed-form batch
+#: of every grid scan.  Scoring a batch costs about 42-47 ns a point at
+#: 16k-33k points against 67-71 ns at 131k, where its temporaries no longer
+#: fit in cache (either scheme, on a 2-vCPU x86-64 VM).  The cap also holds a
+#: scan's traced peak memory to 1-3 MB at steps 0.1-0.02.
 GRID_CHUNK = 1 << 14
 #: Joe & Kuo (2008) primitive polynomials and initial direction numbers of
 #: the first five Sobol dimensions, as in their new-joe-kuo-6.21201 table
@@ -256,19 +251,19 @@ def _grid_values(step: float) -> np.ndarray:
     return vals
 
 
-def _grid_chunks(vals: np.ndarray, d: int):
-    """Yield the full Cartesian grid in lexicographic order, in chunks of at
-    most GRID_CHUNK points.  A chunk is its d policy columns: the outer
-    prefix as scalars, then the inner axes as an open grid (np.ix_), whose
+def _grid_chunks(vals: np.ndarray, d: int, size: int):
+    """Yield the full d-D Cartesian grid in lexicographic order, in chunks of
+    at most size points.  A chunk is its d policy columns: the outer prefix
+    as scalars, then the inner axes as an open grid (np.ix_), whose
     broadcast shape, read in C order, lists the chunk's points
     lexicographically.  The inner axes are the whole trailing axes that fit
-    in GRID_CHUNK; when k >= 2 copies of them still fit, the axis before them
-    is walked in slices of k values, so the chunks stay full."""
+    in size; when k >= 2 copies of them still fit, the axis before them is
+    walked in slices of k values, so the chunks stay full."""
     m = len(vals)
     inner = 0
-    while inner < d and m ** (inner + 1) <= GRID_CHUNK:
+    while inner < d and m ** (inner + 1) <= size:
         inner += 1
-    k = GRID_CHUNK // m**inner
+    k = size // m**inner
     if inner < d and k > 1:
         heads = [np.ix_(vals[i : i + k], *[vals] * inner) for i in range(0, m, k)]
         inner += 1
@@ -286,21 +281,23 @@ def _grid_score(problem, cols):
 
 
 def _fiber_best(problem, cols, vals):
-    """Best score of each p_access_retx fiber of a feedback grid: cols is a
-    chunk of the (p_sense, p_access_free, p_access_busy, p_access_direct)
-    grid, and each of its points heads the fiber of the m grid values of
-    p_access_retx.  Returns an array of the chunk's broadcast shape.
+    """Best score of each fiber of a grid chunk: each point of the chunk
+    cols heads the fiber of the m grid values of the last variable.
+    Returns an array of the chunk's broadcast shape.
 
-    alpha, idle and busy are computed once per chunk, and each fiber is
-    scored at its first and last values.  mu_s is monotone along a fiber
-    and the feasible values are a prefix of it (see _scan_grid), so a
-    fiber feasible at both ends or falling has its best at one of them.  A
-    rising fiber feasible at the first value only is bisected on the grid
-    index for its last feasible value, where its best is.  A fiber is
-    falling where mu_s at the last value, read whether feasible or not, is
-    not above mu_s at the first: the expression is the same one on both
-    sides of the feasibility edge.
+    A sensing-only or random-access fiber is scored in full.  A feedback
+    fiber is scored at its ends, with alpha, idle and busy computed once
+    per chunk.  Its best is at one of them unless it is rising and cut,
+    feasible at the first value only: then its best is its last feasible
+    value, the last grid value at or below feedback.retx_cap, which
+    closed_forms confirms feasible with the next one infeasible, stepping
+    one value at a time where rounding puts the cap off.  A fiber rises
+    where mu_s at the last value, read whether feasible or not, is above
+    mu_s at the first: the expression is the same on both sides of the
+    feasibility edge.
     """
+    if problem.scheme is not Scheme.FEEDBACK:
+        return np.max(_grid_score(problem, (*(np.expand_dims(c, -1) for c in cols), vals)), axis=-1)
     profile, traffic = problem.profile, problem.traffic
     policy = unchecked(PolicyNoFb, *cols)
     alpha = nofeedback.primary_service_rate(profile, policy, problem.sensing, traffic.lam_e)
@@ -315,24 +312,23 @@ def _fiber_best(problem, cols, vals):
     (first, mu_first), (last, mu_last) = score(0), score(-1)
     best = np.maximum(first, last)
     cut = np.flatnonzero((first > -math.inf) & (last == -math.inf) & ~(mu_last <= mu_first))
-    # lo is feasible and hi is not, and at_lo is the score at lo
-    lo, hi, at_lo = np.zeros_like(cut), np.full_like(cut, len(vals) - 1), first[cut]
-    while np.any(open_ := hi - lo > 1):
-        mid = (lo[open_] + hi[open_]) // 2
-        s = score(mid, cut[open_])[0]
-        ok = s > -math.inf
-        lo[open_] = np.where(ok, mid, lo[open_])
-        hi[open_] = np.where(ok, hi[open_], mid)
-        at_lo[open_] = np.where(ok, s, at_lo[open_])
-    best[cut] = np.maximum(first[cut], at_lo)
+    cap = feedback.retx_cap(profile, alpha[cut], traffic)
+    j = np.clip(np.searchsorted(vals, cap, side="right") - 1, 0, len(vals) - 2)
+    while True:
+        at = score(j, cut)[0]
+        step = (score(j + 1, cut)[0] > -math.inf).astype(int) - (at == -math.inf)
+        if not step.any():
+            break
+        j += step
+    best[cut] = np.maximum(first[cut], at)
     return best.reshape(shape)
 
 
 def _near_fibers(problem, chunks, vals, floor, threshold):
-    """Score in full, through _grid_score, every fiber of the 4-D chunks
-    whose _fiber_best is at least floor.  Returns the first of their points
-    in lexicographic order that scores at least threshold (None if none
-    does) and the best of their scores."""
+    """Score in full, through _grid_score, every fiber of the chunks whose
+    _fiber_best is at least floor.  Returns the first of their points in
+    lexicographic order that scores at least threshold (None if none does)
+    and the best of their scores."""
     m = len(vals)
     per = max(1, GRID_CHUNK // m)
     x, top = None, -math.inf
@@ -351,79 +347,48 @@ def _near_fibers(problem, chunks, vals, floor, threshold):
     return x, top
 
 
-def _scan_fibers(problem, vals):
-    """(x or None, best_score) of a feedback grid scan (see _scan_grid).
+def _scan_grid(problem, step):
+    """Exhaustive grid scan, one fiber at a time.  Returns (x or None,
+    best_score, n_evals), n_evals counting every grid point once.
 
-    The pass records each 4-D chunk's best fiber.  A fiber's interior can
-    beat its ends by rounding alone, by a few ulps where it is flat in exact
-    arithmetic (at alpha = 1, say).  So every fiber within 2 TIE_TOL of the
-    best is scored in full, which makes the best exact, and the winner is
-    the first of their points within TIE_TOL of it: every fiber that holds
-    such a point is among them.  If the full scores raise the best, the
-    near fibers are walked once more for the winner.
+    A fiber is the m grid values of the scheme's last variable
+    (p_access_retx under feedback, p_access_direct otherwise) at fixed other
+    fields, its head.  The pass walks the grid of heads in chunks of at most
+    GRID_CHUNK points (GRID_CHUNK heads under feedback, whose pass scores a
+    fiber at a few values only) and keeps each chunk's best fiber
+    (_fiber_best), -inf for a chunk with no feasible point.  The fibers
+    within 2 TIE_TOL of the best are then scored in full (_near_fibers), in
+    lexicographic order of their heads, and the winner is the first of
+    their points within TIE_TOL of the best: every fiber that holds such a
+    point is among them.  A feedback fiber's interior can beat its ends by
+    rounding alone, by a few ulps where it is flat in exact arithmetic (at
+    alpha = 1, say), so if the full scores raise the best, the near fibers
+    are walked once more.
+
+    Under feedback, fix the other four fields: alpha, idle and busy are then
+    fixed and gamma = p - lam_e (p - pc) pr falls as pr grows, so
+    mu_s = lam_e [(1 - lam_p) idle + lam_p busy
+    + lam_p (1 - alpha) (pr p_sec_full_conc - idle) / gamma]
+    is linear-fractional in pr, hence monotone.  eta does not rise and the
+    delay does not fall as pr grows, so the feasible values of a fiber are a
+    prefix of it, and its best grid value is its first or its last feasible
+    one.
     """
-    chunks = list(_grid_chunks(vals, 4))
+    vals = _grid_values(step)
+    m, d = len(vals), len(problem.scheme.variables)
+    size = GRID_CHUNK if problem.scheme is Scheme.FEEDBACK else GRID_CHUNK // m
+    chunks = list(_grid_chunks(vals, d - 1, size))
     chunk_best = np.array([np.max(_fiber_best(problem, cols, vals)) for cols in chunks])
     best = float(np.max(chunk_best))
     if not math.isfinite(best):
-        return None, best
+        return None, best, m**d
     floor = best - 2 * TIE_TOL
     near = [chunks[k] for k in np.flatnonzero(chunk_best >= floor)]
     while True:
         x, top = _near_fibers(problem, near, vals, floor, best - TIE_TOL)
         if top <= best:
-            return x, best
+            return x, best, m**d
         best = top
-
-
-def _scan_grid(problem, step):
-    """Exhaustive grid scan: one scoring pass plus one re-scored chunk.
-
-    The pass records each chunk's best score (_grid_score), -inf for a chunk
-    with no feasible point.  The first chunk within TIE_TOL of the
-    overall best is scored again and its first point within TIE_TOL, in
-    lexicographic order, is the winner.  Returns (x or None, best_score,
-    n_evals), n_evals counting every grid point once.
-
-    Each chunk is scored over broadcast axes, so a quantity is computed only
-    over the axes it depends on: the masses a, b and c on the 2-D slabs of
-    p_sense and one access axis.  That changes no bits: every point's score
-    still comes from the same elementwise IEEE operations on the same
-    operands as when its coordinates are spelled out in a point matrix.  The
-    scores are elementwise and the chunks come in lexicographic order, so
-    the result does not depend on GRID_CHUNK either.
-
-    A feedback grid (_scan_fibers) walks only its first four axes, and
-    scores each point there by the best of its fiber, the m grid values of
-    p_access_retx (pr) it heads.  With the other four fields fixed, alpha,
-    idle and busy are fixed and gamma = p - lam_e (p - pc) pr falls as pr
-    grows, so mu_s = lam_e [(1 - lam_p) idle + lam_p busy
-    + lam_p (1 - alpha) (pr p_sec_full_conc - idle) / gamma]
-    is linear-fractional in pr, hence monotone.  eta does not rise and the
-    delay does not fall as pr grows, so the feasible values of a fiber are a
-    prefix of it, and its best grid value is its first or its last feasible
-    one, which a bisection on the grid index finds (_fiber_best).  pr is
-    the innermost axis, so the first fiber within TIE_TOL of the best holds
-    the first point within TIE_TOL.
-    """
-    d = len(problem.scheme.variables)
-    vals = _grid_values(step)
-    n_evals = len(vals) ** d
-    if problem.scheme is Scheme.FEEDBACK:
-        return (*_scan_fibers(problem, vals), n_evals)
-    chunk_best = np.fromiter(
-        (np.max(_grid_score(problem, cols)) for cols in _grid_chunks(vals, d)),
-        dtype=float,
-    )
-    best = float(np.max(chunk_best))
-    if not math.isfinite(best):
-        return None, best, n_evals
-    k = int(np.argmax(chunk_best >= best - TIE_TOL))
-    cols = next(itertools.islice(_grid_chunks(vals, d), k, None))
-    shape = np.broadcast_shapes(*map(np.shape, cols))
-    score = np.broadcast_to(_grid_score(problem, cols), shape).ravel()
-    hit = int(np.argmax(score >= best - TIE_TOL))
-    return np.array([np.broadcast_to(c, shape).flat[hit] for c in cols]), best, n_evals
 
 
 def _finish(problem: OptProblem, x, meta: SolverMeta) -> OptResult:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -284,6 +285,25 @@ def test_fig4_sweep_matches_the_benchmark_reference(tmp_path, capsys):
     for got, want in zip(rows, ref["ops"]):
         assert len(got) == len(want)
         assert all(map(agrees_with_reference, got, want)), (got, want)
+
+
+#: SHA-256 of each preset's `ehcog sweep` CSV at seed 0.  A refactor keeps
+#: these bytes; a change that moves them on purpose lists the moved rows in
+#: CHANGES.md and records the new hashes here
+SWEEP_SHA256 = {
+    "fig4": "cb88977948012f6ee70ca83699499d0f7555e4e5dfd51cf992398688d555067a",
+    "fig6": "1215e0eb3c9cc889c0a22f0b83e5b9bf0362b9a547cb90cce74e2686c82bd719",
+    "fig7": "7266bb1874152af08663c186808dbdf940305926dfbb1f8d5daa58e482b582a3",
+    "fig8": "cda8067c610e15af9f4059bc697f502d2101472f3e1efe318c6cfde3c45339dd",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SWEEP_SHA256))
+def test_preset_sweep_csv_bytes_are_pinned(preset, tmp_path, capsys):
+    out = tmp_path / f"{preset}.csv"
+    code, _, _ = run_cli(capsys, ["sweep", "--preset", preset, "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[preset]
 
 
 def test_sweep_grid_validation(tmp_path, capsys):

@@ -295,6 +295,30 @@ def test_tail_bound_actually_covers_the_mass():
     assert tail_k_max(0.0, 0.5, 0.5) == 0
 
 
+@pytest.mark.parametrize(
+    "rates, tol, estimate, k",
+    [
+        # the log estimate lands a level above the answer: k -= 1 runs
+        ((0.749, 0.969, 0.39), 1.111120114318605e-12, 60, 59),
+        # it lands a level below: k += 1 runs
+        ((0.325, 0.35, 0.658), 3.838896769028738e-07, 15, 16),
+    ],
+)
+def test_tail_k_max_steps_its_log_estimate_onto_the_float_comparison(rates, tol, estimate, k):
+    # tol is within an ulp of the mass above some level, where rounding in
+    # the logs and in the power disagree on which side of tol it falls
+    point = closed_forms(*rates)
+    r, rho = nofeedback._ratios(point, rates[0])
+    head = float(point.pi0) * (1.0 - rates[1]) * r * r
+
+    def above(level):
+        return head * rho ** (level - 1) / (1.0 - rho)
+
+    assert max(2, math.floor(math.log(tol * (1.0 - rho) / head) / math.log(rho)) + 2) == estimate
+    assert tail_k_max(*rates, tol=tol) == k
+    assert above(k) < tol <= above(k - 1)
+
+
 def test_stationary_dist_stays_finite_under_heavy_load():
     # r = lam_p / ((1-lam_p) mu_p) = 2.48 at the first point and 1.98 at
     # the second: r^k overflows long before the tail ends, and inf * 0 used

@@ -546,7 +546,7 @@ def test_chunked_grid_scan_matches_whole_grid(
 def test_grid_chunks_stay_full_at_fine_steps():
     # at step 0.02 one 51 x 51 slab holds 2,601 points; a chunk takes six
     vals = _grid_values(0.02)
-    chunks = list(_grid_chunks(vals, 3))
+    chunks = list(_grid_chunks(vals, 3, optimizer.GRID_CHUNK))
     shapes = [np.broadcast_shapes(*map(np.shape, cols)) for cols in chunks]
     assert shapes == [(6, 51, 51)] * 8 + [(3, 51, 51)]
     points = np.concatenate(
@@ -555,9 +555,19 @@ def test_grid_chunks_stay_full_at_fine_steps():
     assert points.tolist() == [list(x) for x in itertools.product(vals.tolist(), repeat=3)]
 
 
+#: at step 0.3 the grid is 0, 0.3, 0.6, 0.9, 1, and 165 fibers of the first
+#: chunk are cut in the short last cell, between 0.9 and 1; the winner's
+#: p_access_retx is 0.9
+SHORT_LAST_CELL = random_problem(0.74, (0.4, 0.6, 0.8, 0.5, 0.1), SENSING, 0.24, 0.82, 5.0,
+                                 Scheme.FEEDBACK)
+
+
 @settings(max_examples=25, deadline=None)
 @given(prob=random_problems)
 @example(prob=ETA_ONE)
+# a random-access grid is one fiber along p_access_direct, with no heads
+@example(prob=random_problem(0.7, MPR, SENSING, 0.3, 0.8, 2.0, Scheme.RANDOM_ACCESS))
+@example(prob=SHORT_LAST_CELL)
 def test_broadcast_grid_scan_matches_point_matrix_oracle(prob):
     # step 0.3 leaves a short last cell: the axis is 0, 0.3, 0.6, 0.9, 1
     for step in (0.1, 0.25, 0.3):
@@ -577,7 +587,7 @@ FLAT_FIBERS = random_problem(1.0, MPR, (0.1, 0.0), 0.3, 0.8, 1.0, Scheme.FEEDBAC
 
 #: a strong full-slot link under concurrency makes retransmission slots worth
 #: attacking up to the stability edge: at every step the winner's
-#: p_access_retx is the last stable value of a bisected fiber, whose first
+#: p_access_retx is the last stable value of a cut fiber, whose first
 #: value scores below the best end of another fiber
 RETX_AT_THE_EDGE = random_problem(0.7, (0.2, 0.6, 0.9, 0.9, 0.8), SENSING, 0.45, 1.0, math.inf,
                                   Scheme.FEEDBACK)
@@ -623,6 +633,50 @@ def test_fiber_scan_matches_point_matrix_oracle(prob):
             assert x.tobytes() == ref_x.tobytes()
 
 
+#: the bound at which retx_cap of the chain below is 0.5 in floating point,
+#: a grid value of every step that divides 0.5; 0.5 is feasible and any
+#: larger p_access_retx is not
+CAP_ON_THE_GRID = (random_problem(1.0, (0.2, 0.6, 0.5, 0.3, 0.2), SENSING, 0.0, 0.8,
+                                  1.4705882342941177, Scheme.FEEDBACK), 0.5)
+#: the smallest positive normal float
+TINY = 2.2250738585072014e-308
+
+
+@settings(max_examples=200, deadline=None)
+@given(prob_mass=st.tuples(fiber_problems, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+       step=st.sampled_from([0.5, 0.3, 0.25, 0.1, 0.05]))
+@example(prob_mass=(random_problem(0.7, MPR, SENSING, 0.0, 0.8, 2.0, Scheme.FEEDBACK), 0.3),
+         step=0.1)  # lam_p = 0
+# alpha = 1: no fresh transmission fails, and only stability binds, between
+# the last two grid values: gamma falls to 0 at p_access_retx = 1
+@example(prob_mass=(random_problem(1.0, (0.0, *MPR[1:]), SENSING, 0.4, 1.0, 2.0, Scheme.FEEDBACK),
+                    0.0), step=0.1)
+@example(prob_mass=(random_problem(0.7, MPR, SENSING, 0.6, 0.8, math.inf, Scheme.FEEDBACK), 0.2),
+         step=0.1)
+# a 1-slot bound leaves no time for a retransmission: nothing is feasible
+@example(prob_mass=(random_problem(0.7, MPR, SENSING, 0.3, 0.8, 1.0, Scheme.FEEDBACK), 0.2),
+         step=0.1)
+@example(prob_mass=(random_problem(0.7, MPR, SENSING, 0.3, TINY, 2.0, Scheme.FEEDBACK), 0.2),
+         step=0.1)
+# p = pc: gamma does not move with p_access_retx, so there is no cap
+@example(prob_mass=(random_problem(0.7, (1.0, *MPR[1:]), SENSING, 0.3, 0.8, 2.0, Scheme.FEEDBACK),
+                    0.2), step=0.1)
+@example(prob_mass=CAP_ON_THE_GRID, step=0.1)
+def test_retx_cap_is_the_feasible_edge_of_a_fiber(prob_mass, step):
+    # the chain at fresh-head interference mass `mass`, whose alpha is that of
+    # every head policy with that mass
+    prob, mass = prob_mass
+    profile, traffic = prob.profile, prob.traffic
+    alpha = nofb.primary_success(profile, traffic.lam_e, mass)
+    vals = _grid_values(step)
+    cap = fb.retx_cap(profile, alpha, traffic)
+    feasible = fb.chain_at(profile, alpha, 0.0, 0.0, vals, traffic).feasible
+    # the grid values up to the cap are feasible and the next one is not
+    assert feasible.tolist() == (vals <= cap).tolist()
+    if (prob, mass) == CAP_ON_THE_GRID:
+        assert cap == 0.5
+
+
 def test_feedback_grid_scan_reads_a_fraction_of_its_points(monkeypatch):
     points = []
     closed_forms = nofb.closed_forms
@@ -636,7 +690,7 @@ def test_feedback_grid_scan_reads_a_fraction_of_its_points(monkeypatch):
     res = grid_oracle(FIG4_FEEDBACK, 0.05)
     # every grid point counts as evaluated, though most are never scored
     assert res.meta.n_evals == 21**5
-    # the fiber ends, the bisections, the best fibers in full and analyze()
+    # the fiber ends, the cut fibers' edges, the best fibers in full and analyze()
     assert sum(points) < 21**5 / 4
 
 
