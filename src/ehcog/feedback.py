@@ -63,10 +63,11 @@ def retx_cap(profile: OutageProfile, alpha, traffic: TrafficParams):
     """The largest p_access_retx at which chain_at is feasible, in exact
     arithmetic: where gamma = p - lam_e (p - pc) p_access_retx falls to
     nofeedback.gamma_floor.  Where lam_e (p - pc) = 0, gamma does not move
-    with p_access_retx, and the cap is +-inf or nan."""
+    with p_access_retx, and the cap is +-inf or nan; where it is subnormal,
+    the cap overflows to inf."""
     p = profile.p_primary
     floor = nofeedback.gamma_floor(traffic.lam_p, alpha, traffic.delay_bound)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return (p - floor) / (traffic.lam_e * (p - profile.p_primary_conc))
 
 

@@ -454,6 +454,22 @@ def test_solve_many_matches_oracle_on_random_problem_lists(problems):
     assert solve_many(problems, FAST) == [solve_per_start(p, FAST) for p in problems]
 
 
+@pytest.mark.parametrize("preset", ["fig4", "fig7"])
+def test_preset_answers_settle_within_half_the_sweep_budget(preset, monkeypatch):
+    # at seed 0 every winning start retires within 38 sweeps; only losing
+    # starts that crawl at a fixed step use the rest of the budget
+    tasks, cfg = _sweep_tasks(get_preset(preset))
+    problems = [t[3] for t in tasks]
+    full = solve_many(problems, cfg)
+    monkeypatch.setattr(optimizer, "MAX_SWEEPS", optimizer.MAX_SWEEPS // 2)
+    half = solve_many(problems, cfg)
+
+    def answer(r):
+        return r.policy, r.mu_s, r.mu_p, r.delay, r.feasible
+
+    assert list(map(answer, half)) == list(map(answer, full))
+
+
 #: lam_p values of a lockstep batch: at 0.1671, (1 - lam_p) ** 2 through
 #: Python's pow() and through numpy's multiply round differently, so a closed
 #: form that squared with ** would give a scalar point other bits than its
@@ -658,6 +674,9 @@ TINY = 2.2250738585072014e-308
          step=0.1)
 @example(prob_mass=(random_problem(0.7, MPR, SENSING, 0.3, TINY, 2.0, Scheme.FEEDBACK), 0.2),
          step=0.1)
+# a subnormal lam_e (p - pc): the cap overflows to inf
+@example(prob_mass=(random_problem(1.0, (0.0,) * 5, (0.0, 0.0), 0.0, 5e-324, 1.0, Scheme.FEEDBACK),
+                    0.0), step=0.5)
 # p = pc: gamma does not move with p_access_retx, so there is no cap
 @example(prob_mass=(random_problem(0.7, (1.0, *MPR[1:]), SENSING, 0.3, 0.8, 2.0, Scheme.FEEDBACK),
                     0.2), step=0.1)
@@ -728,6 +747,16 @@ def test_sobol_points_match_scipy_bitwise(d, seed):
             got = _sobol_points(d, SolverConfig(n_starts=n, seed=seed))
         assert got.shape == want.shape == (n, d)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_sobol_points_are_made_once_and_read_only():
+    cfg = SolverConfig(n_starts=40, seed=5)
+    points = _sobol_points(4, cfg)
+    assert _sobol_points(4, SolverConfig(n_starts=40, seed=5)) is points
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 0.5
+    assert _sobol_points(5, cfg) is not points
 
 
 # numpy.random is the reference for the scrambling bits, at test time only
