@@ -2,9 +2,11 @@
 
 Subcommands: analyze, optimize, sweep, simulate, validate.  Configuration
 comes from a preset (--preset), a YAML file (--config), or both (the file is
-deep-merged over the preset); --scheme/--seed/--slots/--out override
-individual values.  Relative --config paths are also looked up under
-$EHCOG_CONFIG_DIR.  Each parameter section is built by _build, which
+deep-merged over the preset); --out and the flags a command reads override
+individual values: --scheme (all but sweep, which solves every scheme),
+--seed (all but analyze) and --slots (simulate, validate).  A flag the
+command does not read is refused.  Relative --config paths are also looked
+up under $EHCOG_CONFIG_DIR.  Each parameter section is built by _build, which
 refuses a field value that is not a number; `seed` is the run's one seed,
 the Sobol seed of optimize and sweep and the Philox seed of simulate and
 validate.  CSV output uses a fixed header per command, 17 significant
@@ -111,9 +113,9 @@ def _load_config(args) -> dict:
             if env_dir and os.path.exists(os.path.join(env_dir, path)):
                 path = os.path.join(env_dir, path)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}") from None
         except yaml.YAMLError as e:
             raise ConfigError(f"config parse error: {e}") from None
@@ -279,10 +281,13 @@ def _parse_run(cfg: dict) -> tuple[SimSemantics, int, int]:
 def _write_csv(path, header: list, rows: list) -> None:
     """header and rows as CSV to the file path, or to stdout if path is
     empty or None."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}") from None
 
 
 def _emit(cfg: dict, header: list, row: list, printed) -> None:
@@ -425,21 +430,26 @@ def main(argv=None) -> int:
         "secondary link sharing a slotted channel with a primary user.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("analyze", cmd_analyze),
-        ("optimize", cmd_optimize),
-        ("sweep", cmd_sweep),
-        ("simulate", cmd_simulate),
-        ("validate", cmd_validate),
+    flag_kwargs = {
+        "--scheme": {"choices": [s.value for s in Scheme]},
+        "--seed": {"type": int},
+        "--slots": {"type": int},
+    }
+    # each command takes only the flags it reads
+    for name, fn, flags in (
+        ("analyze", cmd_analyze, ("--scheme",)),
+        ("optimize", cmd_optimize, ("--scheme", "--seed")),
+        ("sweep", cmd_sweep, ("--seed",)),
+        ("simulate", cmd_simulate, ("--scheme", "--seed", "--slots")),
+        ("validate", cmd_validate, ("--scheme", "--seed", "--slots")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--preset", choices=["fig4", "fig6", "fig7", "fig8"])
-        p.add_argument("--scheme", choices=[s.value for s in Scheme])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--slots", type=int)
+        for flag in flags:
+            p.add_argument(flag, **flag_kwargs[flag])
         p.add_argument("--out", help="CSV output path")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, scheme=None, seed=None, slots=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -43,33 +43,32 @@ generators, so the others do not move.
 A queue x' = max(x - s, 0) + a with known 0/1 arrivals a and services s is
 a Lindley recursion, x_t = C_t + max(x0, max_{k<t} (a_k - C_{k+1})) with C
 the prefix sums of a - s, so a cumulative sum and a running maximum give it
-exactly (_lindley).  Under BACKLOGGED the battery drains in every energized
-slot, so it is one scan on its own.  That fixes the primary's service in
-every slot, so the primary queue is one scan too; under feedback a walk over
-the primary length and the NACK flag alone first finds the retransmission
-slots.  The data queue is the last scan.  Under EXACT the three queues
-depend on each other through three flags per slot: battery nonempty,
-primary busy and data queue nonempty.  Given the flags, each queue is one
-scan, and a round of three scans gives new flags; rounds repeat, at most
-FIXPOINT_ROUNDS times, until a round gives back the flags it was given.  A
-block is scanned whole or walked whole: where the scans cannot solve it
-(the feedback scheme under EXACT, whose retransmission slots depend on all
-three flags, or an EXACT block whose rounds run out), the slot loop
-(_slot_loop) walks the block, and the run's later blocks go straight to the
-loop, which caps the cost of configurations that need many rounds.  The
-loop carries only the queue lengths, the battery and the NACK flag from
-slot to slot, and the scans and the loop both give one record byte per
-slot.
+exactly (_lindley).  The three queues depend on each other through three
+flags per slot: battery nonempty, primary busy and data queue nonempty.
+Given the flags, each queue is one scan, and a round of three scans
+(battery, primary, data) gives new flags; _scan_block repeats rounds, at
+most FIXPOINT_ROUNDS times, until a round gives back the flags it was
+given.  BACKLOGGED reads no guessed flag (the secondary acts as if it had
+data, and the battery drains in every energized slot), so its first round
+is final; under feedback that round first finds the retransmission slots
+by a walk over the primary length and the NACK flag alone.  EXACT starts
+from a guess: the primary alone, and a data queue that never runs out of
+energy.  A block is scanned whole or walked whole: where the scans cannot
+solve it (the feedback scheme under EXACT, whose retransmission slots
+depend on all three flags, or an EXACT block whose rounds run out), the
+slot loop (_slot_loop) walks the block, and the run's later blocks go
+straight to the loop, which caps the cost of configurations that need many
+rounds.  The loop carries only the queue lengths, the battery and the NACK
+flag from slot to slot.  Both give the state after the block, one record
+byte per slot and the queue lengths at the start of each slot.
 
 The block's statistics are then computed from its record with numpy and
-folded into running sums: queue lengths from the scans (after the loop,
-from a scan of its joins and departures), delays by matching the k-th
-departure with the k-th arrival (the queue is FIFO; the arrival slots of
-packets still queued cross to the next block), and batch and decile sums
-with np.add.reduceat.  Each sum is a float sum of integers below 2**53,
-which is exact in any order, so the figures carry the same bits as sums
-made slot by slot.  A run's memory is one block's, plus 8 bytes per packet
-in the primary queue.
+folded into running sums: delays by matching the k-th departure with the
+k-th arrival (the queue is FIFO; the arrival slots of packets still queued
+cross to the next block), and batch and decile sums with np.add.reduceat.
+Each sum is a float sum of integers below 2**53, which is exact in any
+order, so the figures carry the same bits as sums made slot by slot.  A
+run's memory is one block's, plus 8 bytes per packet in the primary queue.
 """
 from __future__ import annotations
 
@@ -282,61 +281,57 @@ def _nack_walk(q, nack, arr_p, svc_on, svc_rx):
 def _scan_block(
     state, backlogged, use_feedback, arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c
 ):
-    """Solve a block from state (q, qs, qe, nack) by Lindley scans.  Returns
-    (state after the block, record, qp, qs): record holds the record byte
-    (as _slot_loop's) and qp and qs the primary and data queue lengths at
-    the start of each slot.  Returns None where the scans cannot solve the
-    block: feedback under EXACT, and an EXACT block whose rounds end
-    without one that gives back its own flags."""
+    """Solve a block from state (q, qs, qe, nack) by rounds of Lindley scans.
+    Returns (state after the block, record, qp, qs), as _slot_loop does, or
+    None where the scans cannot solve the block: feedback under EXACT, and
+    an EXACT block whose FIXPOINT_ROUNDS rounds end without one that gives
+    back its own flags.  BACKLOGGED reads no guessed flag, so its first
+    round is final."""
     if use_feedback and not backlogged:
         return None
     q0, qs0, qe0, nack = state
     n = arr_p.size
     qe, q, qs = (np.empty(n + 1, np.int64) for _ in range(3))
     tx_on = out_on > 0
-    if backlogged:  # the battery drains in every energized slot, on its own
-        energized = _lindley(qe0, arr_e, 1, qe)[:-1] > 0
-        svc = np.where(energized & tx_on, win_c, win)
-        if use_feedback:
+    data = True  # BACKLOGGED: the secondary acts in every energized slot
+    if not backlogged:
+        # EXACT guesses the primary alone and a data queue that never runs
+        # out of energy
+        busy = _lindley(q0, arr_p, win, q)[:-1] > 0
+        data = _lindley(qs0, arr_s, np.where(busy, out_on, out_off) == 2, qs)[:-1] > 0
+    for _ in range(FIXPOINT_ROUNDS):
+        # BACKLOGGED drains the battery in every energized slot
+        spent = 1 if backlogged else data & (np.where(busy, out_on, out_off) > 0)
+        energized = _lindley(qe0, arr_e, spent, qe)[:-1] > 0
+        svc = np.where(energized & data & tx_on, win_c, win)
+        if use_feedback:  # BACKLOGGED alone: a walk finds the retransmission slots
             svc_rx = np.where(energized & (out_rx > 0), win_c, win)
             retx, nack = _nack_walk(q0, nack, arr_p, svc, svc_rx)
             svc = np.where(retx, svc_rx, svc)
             out_on = np.where(retx, out_rx, out_on)
-        busy = _lindley(q0, arr_p, svc, q)[:-1] > 0
-        sent = np.where(energized, np.where(busy, out_on, out_off), 0)
-        served = (sent == 2) & (_lindley(qs0, arr_s, sent == 2, qs)[:-1] > 0)
+        new_busy = _lindley(q0, arr_p, svc, q)[:-1] > 0
+        sent = np.where(energized, np.where(new_busy, out_on, out_off), 0)
+        new_data = _lindley(qs0, arr_s, sent == 2, qs)[:-1] > 0
+        if backlogged or (np.array_equal(new_busy, busy) and np.array_equal(new_data, data)):
+            break
+        busy, data = new_busy, new_data
     else:
-        # EXACT, sensing-only: iterate the battery, primary-busy and data
-        # flags to their fixed point, from a first guess with the primary
-        # alone and a data queue that never runs out of energy
-        busy = _lindley(q0, arr_p, win, q)[:-1] > 0
-        data = _lindley(qs0, arr_s, np.where(busy, out_on, out_off) == 2, qs)[:-1] > 0
-        for _ in range(FIXPOINT_ROUNDS):
-            spent = data & (np.where(busy, out_on, out_off) > 0)
-            energized = _lindley(qe0, arr_e, spent, qe)[:-1] > 0
-            svc = np.where(energized & data & tx_on, win_c, win)
-            new_busy = _lindley(q0, arr_p, svc, q)[:-1] > 0
-            sent = np.where(energized, np.where(new_busy, out_on, out_off), 0)
-            new_data = _lindley(qs0, arr_s, sent == 2, qs)[:-1] > 0
-            if np.array_equal(new_busy, busy) and np.array_equal(new_data, data):
-                break
-            busy, data = new_busy, new_data
-        else:
-            return None
-        sent[~data] = 0
-        served = sent == 2
+        return None
+    sent *= data  # EXACT sends nothing without data
     record = sent << 1 | energized
-    record |= np.left_shift(busy & svc, 3, dtype=np.uint8)
-    record |= np.left_shift(served, 4, dtype=np.uint8)
+    record |= np.left_shift(new_busy & svc, 3, dtype=np.uint8)
+    record |= np.left_shift((sent == 2) & new_data, 4, dtype=np.uint8)
     return (int(q[n]), int(qs[n]), int(qe[n]), nack), record, q[:-1], qs[:-1]
 
 
 def _slot_loop(state, arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c):
     """Walk one EXACT block's slots from state (q, qs, qe, nack) and return
-    the state after its last slot and one record byte per slot: battery
-    nonempty, secondary outcome << 1, primary departure << 3 and data
-    packet served << 4.  The secondary acts only with data, and the battery
-    drains only on a transmission."""
+    what _scan_block does: the state after its last slot, one record byte
+    per slot (battery nonempty, secondary outcome << 1, primary departure
+    << 3 and data packet served << 4) and the primary and data queue
+    lengths at the start of each slot, from scans of the record.  The
+    secondary acts only with data, and the battery drains only on a
+    transmission."""
     q, qs, qe, nack = state
     record = bytearray()
     put = record.append
@@ -352,7 +347,9 @@ def _slot_loop(state, arr_p, arr_s, arr_e, out_on, out_off, out_rx, win, win_c):
         qs += as_ - s
         qe += ae - (o > 0)
         put(e | o << 1 | d << 3 | s << 4)
-    return (q, qs, qe, nack), np.frombuffer(record, np.uint8)
+    r = np.frombuffer(record, np.uint8)
+    qp = _lindley(state[0], arr_p, (r >> 3) & 1)[:-1]
+    return (q, qs, qe, nack), r, qp, _lindley(state[1], arr_s, r >> 4)[:-1]
 
 
 def run(
@@ -392,19 +389,14 @@ def run(
         arr_p, arr_s, arr_e, sense, busy_on, busy_off, *loop_inputs = _block_inputs(
             gens, n, use_feedback, policy, profile, sensing, traffic
         )
-        q0, qs0, _, nack0 = state
+        nack0 = state[3]
         scanned = None
         if not looping:
             scanned = _scan_block(
                 state, backlogged, use_feedback, arr_p, arr_s, arr_e, *loop_inputs
             )
-        if scanned is None:
-            looping = True
-            state, r = _slot_loop(state, arr_p, arr_s, arr_e, *loop_inputs)
-            qp = _lindley(q0, arr_p, (r >> 3) & 1)[:-1]
-            qs_len = _lindley(qs0, arr_s, r >> 4)[:-1]
-        else:
-            state, r, qp, qs_len = scanned
+        looping = scanned is None
+        state, r, qp, qs_len = scanned or _slot_loop(state, arr_p, arr_s, arr_e, *loop_inputs)
         del arr_e, loop_inputs, scanned
         energized = (r & 1).astype(bool)
         sent = (r >> 1) & 3

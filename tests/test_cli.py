@@ -628,6 +628,48 @@ def test_bad_input_is_a_config_error_not_a_traceback(tmp_path, argv, config, mes
     assert "Traceback" not in proc.stderr
 
 
+#: a config under which every command's work is small
+SMALL_RUN = {"solver": {"n_starts": 32}, "sim": {"n_slots": 1000},
+             "sweep": {"variable": "lam_p", "grid": [0.1]}}
+
+
+@pytest.mark.parametrize("command", ["analyze", "optimize", "sweep", "simulate", "validate"])
+@pytest.mark.parametrize("case", ["out-in-a-missing-directory", "out-a-directory",
+                                  "config-not-utf-8"])
+def test_unusable_files_are_a_config_error_not_a_traceback(tmp_path, capsys, command, case):
+    # once a FileNotFoundError, IsADirectoryError or UnicodeDecodeError
+    # escaped, the first two after the command had done all its work
+    config = tmp_path / "c.yaml"
+    argv = [command, "--preset", "fig4", "--config", str(config)]
+    if case == "config-not-utf-8":
+        config.write_bytes("scheme: été\n".encode("latin-1"))
+    else:
+        write_yaml(config, SMALL_RUN)
+        out = tmp_path / "missing" / "x.csv" if case == "out-in-a-missing-directory" else tmp_path
+        argv += ["--out", str(out)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("config error: cannot ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "fig4", "--seed", "1"],
+        ["analyze", "--preset", "fig4", "--slots", "1000"],
+        ["optimize", "--preset", "fig4", "--slots", "1000"],
+        # sweep solves every scheme, so a chosen one would be ignored
+        ["sweep", "--preset", "fig4", "--scheme", "feedback"],
+        ["sweep", "--preset", "fig4", "--slots", "1000"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in (argv[0], argv[3])),
+)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 1
+    assert f"unrecognized arguments: {argv[3]} {argv[4]}" in err
+
+
 #: runs cli.main on its arguments and prints the exit code and whether any
 #: scipy module got imported
 SCIPY_PROBE = """

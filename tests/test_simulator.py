@@ -429,6 +429,27 @@ def test_running_out_of_rounds_hands_the_rest_of_the_run_to_the_loop(monkeypatch
     assert calls[first:] == ["_slot_loop"] * (len(calls) - first) and len(calls) - first > 1
 
 
+@pytest.mark.parametrize(
+    "traffic", [HAND_TRAFFIC, UNSTABLE[-1], SCARCE[-1]], ids=["hand", "unstable", "scarce"]
+)
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_backlogged_never_reaches_the_loop(monkeypatch, scheme, traffic):
+    # BACKLOGGED reads no guessed flag, so its first scan round is final
+    def refuse(*args):
+        raise AssertionError("a BACKLOGGED block reached the slot loop")
+
+    config = hand_config(scheme, traffic)
+    monkeypatch.setattr(simulator, "_slot_loop", refuse)
+    monkeypatch.setattr(simulator, "BLOCK_SLOTS", 64)
+    monkeypatch.setattr(simulator, "FIXPOINT_ROUNDS", 1)
+    got = run(*config, BACKLOGGED, 3000, 2)
+    monkeypatch.undo()
+    want = run_slots(*config, BACKLOGGED, 3000, 2)
+    assert repr(got) == repr(want) and got.sense_counts == want.sense_counts
+    assert all(map(same_float, got.ci_halfwidths.values(), want.ci_halfwidths.values()))
+    assert all(map(same_float, got.qp_decile_means, want.qp_decile_means))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     x0=st.one_of(st.integers(0, 4), st.integers(0, 2**40)),
